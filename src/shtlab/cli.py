@@ -18,8 +18,8 @@ from .errors import InputError
 from .space import space_profile, whole_space_ball
 from .specio import load_json, parse_field, parse_phi, parse_space, parse_weight
 from .suite import run_suite
-from .verify import opnorm_lower_bound
-from .weights import constants_report, sawyer_constant
+from .verify import _sawyer_ordering, opnorm_lower_bound
+from .weights import constants_report
 from .orlicz import Power, p_conjugate
 
 __all__ = ["main", "build_parser"]
@@ -150,10 +150,10 @@ def _cmd_cz(args) -> int:
     space = parse_space(load_json(args.space))
     f = parse_field(args.f, space)
     profile = space_profile(space)
-    config = cz_config(profile, eta=args.eta, a=args.a, lam=args.lam)
+    config = cz_config(profile, eta=args.eta, a=args.a)
     base = whole_space_ball(space)
     if args.lam is not None:
-        dec = cz_decompose(space, base, f, args.lam, config)
+        dec = cz_decompose(space, base, f, args.lam)
         check = verify_cz_properties(space, dec, f, config)
         obj = {
             "lambda": dec.level,
@@ -203,8 +203,7 @@ def _cmd_opnorm(args) -> int:
     strategies = tuple(s.strip() for s in args.strategies.split(",") if s.strip())
     rng = np.random.default_rng(args.seed)
     est = opnorm_lower_bound(space, w, sigma, args.p, strategies=strategies, rng=rng)
-    sawyer = sawyer_constant(space, w, sigma, args.p)
-    ordering_ok = bool(sawyer <= est.value + 1e-9)
+    sawyer, ordering_ok = _sawyer_ordering(space, w, sigma, args.p, est)
     obj = {
         "value": est.value,
         "witness": [float(x) for x in est.witness],

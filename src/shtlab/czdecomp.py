@@ -65,8 +65,7 @@ class CZConfig:
 
     theta = 4*kappa**2 + kappa; eta defaults to kappa**2*(4*kappa+3); the
     level base a defaults to the smallest integer >= max(2*(4*theta*eta)**d_mu,
-    (2*eta)**d_mu + 1).  ``lam`` optionally carries a single-level threshold
-    for front-end plumbing.
+    (2*eta)**d_mu + 1).
     """
 
     kappa: float
@@ -74,7 +73,6 @@ class CZConfig:
     eta: float
     a: float
     d_mu: float
-    lam: float | None = None
 
 
 def required_level_base(theta: float, eta: float, d_mu: float) -> float:
@@ -85,7 +83,6 @@ def cz_config(
     profile: SpaceProfile,
     eta: float | None = None,
     a: float | None = None,
-    lam: float | None = None,
 ) -> CZConfig:
     kappa = profile.kappa
     theta = 4.0 * kappa**2 + kappa
@@ -97,7 +94,7 @@ def cz_config(
         a = float(math.ceil(required_level_base(theta, eta, profile.d_mu)))
     if a <= 1:
         raise InputError(f"level base a must exceed 1, got {a}")
-    return CZConfig(kappa=kappa, theta=theta, eta=eta, a=float(a), d_mu=profile.d_mu, lam=lam)
+    return CZConfig(kappa=kappa, theta=theta, eta=eta, a=float(a), d_mu=profile.d_mu)
 
 
 @dataclass(frozen=True)
@@ -111,6 +108,11 @@ class CZDecomposition:
     @property
     def is_empty(self) -> bool:
         return len(self.selected) == 0
+
+
+def _mask_average(space, f, mask) -> float:
+    """Mass-weighted average of f over a member mask."""
+    return float((f * space.mass)[mask].sum() / space.mass[mask].sum())
 
 
 def _select_level(space, tbl, base_mask, mf, avg, lam):
@@ -144,12 +146,11 @@ def cz_decompose(
     base_ball: Ball,
     f,
     lam: float,
-    config: CZConfig,
 ) -> CZDecomposition:
     """Single-level decomposition of {x in base : Mf > lam}."""
     f = as_field(space, f)
     base_mask = ball_mask(space, base_ball)
-    base_avg = float((f * space.mass)[base_mask].sum() / space.mass[base_mask].sum())
+    base_avg = _mask_average(space, f, base_mask)
     if lam < base_avg:
         raise PreconditionError(
             f"level below base average: lam={lam} < {base_avg}"
@@ -286,8 +287,7 @@ def multi_level_decompose(
             f"2*(4*theta*eta)**d_mu = {need:g}"
         )
     base_mask = ball_mask(space, base_ball)
-    fm = f * space.mass
-    base_avg = float(fm[base_mask].sum() / space.mass[base_mask].sum())
+    base_avg = _mask_average(space, f, base_mask)
     if base_avg <= 0:
         raise PreconditionError("f vanishes on the base ball")
     k0 = _starting_level(base_avg, config.a)

@@ -19,8 +19,8 @@ The local Luxemburg norm over a ball B is
     ||f||_{Phi,B} = inf{ lam > 0 : (1/mu(B)) sum_{y in B} Phi(f[y]/lam) m[y] <= 1 }.
 
 The constraint is continuous and strictly decreasing in lam wherever positive,
-so the infimum is the unique root, found by bisection in log(lam) from a
-rigorous bracket: with M = max_B f,
+so the infimum is the unique root, found by Illinois-damped false position in
+log(lam) from a rigorous bracket: with M = max_B f,
 
     M / Phi^{-1}(mu_max/mass_min)  <=  ||f||_{Phi,B}  <=  M / Phi^{-1}(1).
 
@@ -57,7 +57,7 @@ __all__ = [
 class NumericsConfig:
     """Root-finding and quadrature tolerances used across the package."""
 
-    rel_tol: float = 1e-12      # relative tolerance on Luxemburg bisection
+    rel_tol: float = 1e-12      # relative bracket width ending a root solve
     max_iter: int = 200         # cap on root-finding iterations
     legendre_iter: int = 36     # bisection steps locating the Legendre argmax
     bracket_iter: int = 600     # cap on bracket expansion steps
@@ -74,11 +74,14 @@ def p_conjugate(p: float) -> float:
     return p / (p - 1.0)
 
 
-def _bisect_increasing(g, y, x0, cfg: NumericsConfig, expand: float = 4.0):
+def _bisect_increasing(
+    g, y, x0, cfg: NumericsConfig, expand: float = 4.0, steps: int | None = None
+):
     """Vectorized inverse of an increasing positive function on (0, inf).
 
     Solves g(x) = y for y > 0 elementwise, bracketing around the initial
-    guess x0 by repeated scaling, then bisecting in log(x).
+    guess x0 by repeated scaling by ``expand``, then bisecting in log(x)
+    until the bracket is rel_tol wide, or for exactly ``steps`` steps.
     """
     y = np.asarray(y, dtype=float)
     lo = np.array(x0, dtype=float, copy=True)
@@ -94,8 +97,8 @@ def _bisect_increasing(g, y, x0, cfg: NumericsConfig, expand: float = 4.0):
             break
         hi = np.where(need, hi * expand, hi)
     xlo, xhi = np.log(lo), np.log(hi)
-    for _ in range(cfg.max_iter):
-        if np.max(xhi - xlo) <= cfg.rel_tol:
+    for _ in range(cfg.max_iter if steps is None else steps):
+        if steps is None and np.max(xhi - xlo) <= cfg.rel_tol:
             break
         xm = 0.5 * (xlo + xhi)
         low = g(np.exp(xm)) < y
@@ -221,33 +224,13 @@ class NumericConjugate(YoungFunction):
 
     def _argmax(self, t):
         """Solve base'(u) = t elementwise (t > 0 assumed)."""
-        cfg = self.cfg
         base = self.base
         guess = getattr(base, "derivative_root_guess", None)
-        if guess is not None:
-            u0 = np.asarray(guess(t), dtype=float)
-        else:
-            u0 = np.asarray(base.inverse(t), dtype=float)
+        u0 = np.asarray(guess(t) if guess is not None else base.inverse(t), dtype=float)
         u0 = np.where(u0 > 0, u0, 1.0)
-        lo = u0.copy()
-        hi = u0.copy()
-        for _ in range(cfg.bracket_iter):
-            need = base.derivative(lo) > t
-            if not need.any():
-                break
-            lo = np.where(need, lo / 16.0, lo)
-        for _ in range(cfg.bracket_iter):
-            need = base.derivative(hi) < t
-            if not need.any():
-                break
-            hi = np.where(need, hi * 16.0, hi)
-        xlo, xhi = np.log(lo), np.log(hi)
-        for _ in range(cfg.legendre_iter):
-            xm = 0.5 * (xlo + xhi)
-            low = base.derivative(np.exp(xm)) < t
-            xlo = np.where(low, xm, xlo)
-            xhi = np.where(low, xhi, xm)
-        return np.exp(0.5 * (xlo + xhi))
+        return _bisect_increasing(
+            base.derivative, t, u0, self.cfg, expand=16.0, steps=self.cfg.legendre_iter
+        )
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -295,7 +278,7 @@ def _root_bracket(phi: YoungFunction, maxf, mu_ratio: float):
     return np.log(maxf / inv_big), np.log(maxf / inv_one)
 
 
-def _norms_core(member, weighted, mu, mass, fmat, phi, cfg, method):
+def _norms_core(member, weighted, mu, mass, fmat, phi, cfg):
     """Luxemburg norms of every row of ``fmat`` over every ball row.
 
     member : (m, n) bool, weighted = member*mass : (m, n), mu : (m,).
@@ -326,19 +309,7 @@ def _norms_core(member, weighted, mu, mass, fmat, phi, cfg, method):
             s = (phi(fa / lam[:, None]) * wa).sum(axis=1) / mua
             return np.log(s)
 
-        if method == "bisect":
-            for _ in range(cfg.max_iter):
-                if np.max(xhi - xlo) <= cfg.rel_tol:
-                    break
-                xm = 0.5 * (xlo + xhi)
-                above = log_gap(xm) > 0
-                xlo = np.where(above, xm, xlo)
-                xhi = np.where(above, xhi, xm)
-            root = np.exp(0.5 * (xlo + xhi))
-        elif method == "illinois":
-            root = np.exp(_illinois(log_gap, xlo, xhi, cfg))
-        else:  # pragma: no cover
-            raise ValueError(f"unknown root method {method!r}")
+        root = np.exp(_illinois(log_gap, xlo, xhi, cfg))
         buf = np.zeros((rows.stop - rows.start, m))
         buf[kk, bb] = root
         out[rows] = buf
@@ -393,9 +364,7 @@ def luxemburg_norm(
     member = ball_mask(space, ball)[None, :]
     weighted = member * space.mass[None, :]
     mu = weighted.sum(axis=1)
-    norms = _norms_core(
-        member, weighted, mu, space.mass, f[None, :], phi, cfg, method="bisect"
-    )
+    norms = _norms_core(member, weighted, mu, space.mass, f[None, :], phi, cfg)
     return float(norms[0, 0])
 
 
@@ -404,18 +373,11 @@ def luxemburg_norms_over_balls(
     fmat,
     phi: YoungFunction,
     cfg: NumericsConfig = DEFAULT_NUMERICS,
-    method: str = "illinois",
 ) -> np.ndarray:
-    """Norms of each row of ``fmat`` over every canonical ball, shape (k, m).
-
-    The accelerated false-position solve targets the same root and tolerance
-    as the public bisection path.
-    """
+    """Norms of each row of ``fmat`` over every canonical ball, shape (k, m)."""
     tbl = ball_table(space)
     fmat = np.atleast_2d(np.asarray(fmat, dtype=float))
-    return _norms_core(
-        tbl.member, tbl.weighted, tbl.mu, space.mass, fmat, phi, cfg, method
-    )
+    return _norms_core(tbl.member, tbl.weighted, tbl.mu, space.mass, fmat, phi, cfg)
 
 
 def alpha_p(

@@ -18,12 +18,21 @@ import time
 
 import numpy as np
 
-from .czdecomp import cz_config, cz_decompose, multi_level_decompose, verify_cz_properties, verify_disjointing
+from .czdecomp import (
+    _mask_average,
+    cz_config,
+    cz_decompose,
+    multi_level_decompose,
+    verify_cz_properties,
+    verify_disjointing,
+)
 from .errors import InputError
 from .maximal import hl_maximal
-from .space import check_dilation_bounds, check_engulfing, space_profile, whole_space_ball
+from .space import ball_mask, check_dilation_bounds, check_engulfing, space_profile, whole_space_ball
 from .specio import parse_field, parse_phi, parse_space, parse_weight
 from .verify import (
+    _ratio,
+    _sawyer_ordering,
     opnorm_lower_bound,
     probe_moen_and_norm,
     verify_appendix_bump,
@@ -31,7 +40,6 @@ from .verify import (
     verify_reductions,
     weak_rhi_probe,
 )
-from .weights import sawyer_constant
 
 __all__ = ["default_manifest", "run_suite"]
 
@@ -130,8 +138,10 @@ def _cz_instance(rng, idx) -> dict:
         f = np.full(n, float(np.round(rng.uniform(0.5, 4.0), 6)))
     f = np.asarray(_round(f))
     mf = hl_maximal(space, f)
-    avg = float((f * space.mass).sum() / space.mass.sum())
-    lam = avg + float(rng.uniform(0.0, 0.95)) * (float(mf.max()) - avg)
+    # the base average exactly as cz_decompose computes it; the rounded max Mf
+    # of a constant f can sit an ulp below it
+    avg = _mask_average(space, f, ball_mask(space, whole_space_ball(space)))
+    lam = avg + float(rng.uniform(0.0, 0.95)) * max(float(mf.max()) - avg, 0.0)
     return {"name": f"cz-{idx:03d}", "space": spec, "f": list(f), "lam": float(lam)}
 
 
@@ -277,9 +287,10 @@ def run_suite(manifest: dict) -> tuple[dict, dict]:
 
         t0 = time.perf_counter()
         est = opnorm_lower_bound(space, w, sigma, p, strategies=("indicators",))
-        sawyer = sawyer_constant(space, w, sigma, p)
-        ordering_ok = bool(sawyer <= est.value + 1e-9)
-        replay = _replay_ratio(space, w, sigma, p, est.witness)
+        sawyer, ordering_ok = _sawyer_ordering(space, w, sigma, p, est)
+        replay = _ratio(space, w, sigma, p, est.witness)
+        if replay is None:
+            raise InputError("witness has zero norm")
         replay_ok = bool(abs(replay - est.value) <= 1e-9 * max(est.value, 1.0))
         entry["opnorm"] = {
             "value": est.value,
@@ -321,13 +332,8 @@ def run_suite(manifest: dict) -> tuple[dict, dict]:
 
     t0 = time.perf_counter()
     for item in manifest.get("cz", []):
-        name = item["name"]
-        space = parse_space(item["space"])
-        f = parse_field(item["f"], space)
-        profile = space_profile(space)
-        config = cz_config(profile)
-        base = whole_space_ball(space)
-        dec = cz_decompose(space, base, f, float(item["lam"]), config)
+        name, space, f, config, base = _decomposition_inputs(item)
+        dec = cz_decompose(space, base, f, float(item["lam"]))
         check = verify_cz_properties(space, dec, f, config)
         report["cz"].append(
             {
@@ -346,12 +352,7 @@ def run_suite(manifest: dict) -> tuple[dict, dict]:
 
     t0 = time.perf_counter()
     for item in manifest.get("multilevel", []):
-        name = item["name"]
-        space = parse_space(item["space"])
-        f = parse_field(item["f"], space)
-        profile = space_profile(space)
-        config = cz_config(profile)
-        base = whole_space_ball(space)
+        name, space, f, config, base = _decomposition_inputs(item)
         fam = multi_level_decompose(space, base, f, config)
         check = verify_disjointing(space, fam, config)
         report["multilevel"].append(
@@ -380,10 +381,8 @@ def run_suite(manifest: dict) -> tuple[dict, dict]:
     return report, timings
 
 
-def _replay_ratio(space, w, sigma, p, witness) -> float:
-    mf = hl_maximal(space, witness * sigma)
-    num = float(((mf**p) * w * space.mass).sum()) ** (1.0 / p)
-    den = float(((witness**p) * sigma * space.mass).sum()) ** (1.0 / p)
-    if den == 0.0:
-        raise InputError("witness has zero norm")
-    return num / den
+def _decomposition_inputs(item: dict):
+    """(name, space, f, default config, whole-space ball) of a cz or multilevel item."""
+    space = parse_space(item["space"])
+    f = parse_field(item["f"], space)
+    return item["name"], space, f, cz_config(space_profile(space)), whole_space_ball(space)

@@ -14,13 +14,13 @@ constant) are probed and reported, never asserted.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .czdecomp import CZConfig, cz_config
 from .errors import InputError
-from .maximal import as_field, hl_maximal
+from .maximal import hl_maximal
 from .orlicz import (
     DEFAULT_NUMERICS,
     NumericsConfig,
@@ -73,20 +73,7 @@ class ChainReport:
     passed: bool
 
     def as_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "phi": self.phi,
-            "a": self.a,
-            "theta": self.theta,
-            "d_mu": self.d_mu,
-            "sawyer": self.sawyer,
-            "sawyer_p": self.sawyer_p,
-            "bump": self.bump,
-            "wp_conjugate": self.wp_conjugate,
-            "bound": self.bound,
-            "slack": self.slack,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def verify_main_chain(
@@ -144,6 +131,15 @@ def _ratio(space, w, sigma, p, f):
     if den == 0.0:
         return None
     return num / den
+
+
+def _sawyer_ordering(space, w, sigma, p, est: OpNormEstimate) -> tuple[float, bool]:
+    """Sawyer constant, and whether it lies below the searched lower bound.
+
+    The comparison allows 1e-9 absolute arithmetic headroom.
+    """
+    sawyer = sawyer_constant(space, w, sigma, p)
+    return sawyer, bool(sawyer <= est.value + 1e-9)
 
 
 _KNOWN_STRATEGIES = ("indicators", "random", "coordinate-ascent")

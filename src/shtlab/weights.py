@@ -10,7 +10,7 @@ the canonical family.  Conventions:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -180,18 +180,9 @@ class ConstantsReport:
     context: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "phi": self.phi,
-            "ap": self.ap,
-            "two_weight_ap": self.two_weight_ap,
-            "ainfty_fw": self.ainfty_fw,
-            "ainfty_exp": self.ainfty_exp,
-            "bump_ap": self.bump_ap,
-            "wp": self.wp,
-            "sawyer": self.sawyer,
-            **self.context,
-        }
+        out = asdict(self)
+        out.update(out.pop("context"))
+        return out
 
 
 def constants_report(

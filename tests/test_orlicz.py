@@ -12,6 +12,7 @@ from shtlab.orlicz import (
     NumericConjugate,
     Power,
     PowerLog,
+    _bisect_increasing,
     alpha_p,
     luxemburg_norm,
     luxemburg_norms_over_balls,
@@ -177,14 +178,26 @@ def test_norm_monotone_in_exponent_and_pointwise_phi():
     assert lo <= hi * (1 + 1e-9)
 
 
-def test_engine_methods_agree():
+def test_sweep_matches_bisection_oracle():
+    # independent oracle: per (row, ball), bisect the Luxemburg constraint,
+    # increasing in x = 1/lam, for its unit level
     rng = np.random.default_rng(3)
     sp = random_cloud(rng, 9)
+    tbl = ball_table(sp)
     fmat = 10.0 ** rng.uniform(-1, 1, size=(3, 9))
     for phi in (Power(2.0), PowerLog(2.0, 1.0)):
-        a = luxemburg_norms_over_balls(sp, fmat, phi, method="bisect")
-        b = luxemburg_norms_over_balls(sp, fmat, phi, method="illinois")
-        assert np.allclose(a, b, rtol=1e-10, atol=0)
+        got = luxemburg_norms_over_balls(sp, fmat, phi)
+        want = np.zeros_like(got)
+        for i, f in enumerate(fmat):
+            for b in range(tbl.m):
+                fb, wb = f[tbl.member[b]], sp.mass[tbl.member[b]]
+
+                def constraint(x):
+                    return (phi(fb * x) * wb).sum() / tbl.mu[b]
+
+                x = _bisect_increasing(constraint, 1.0, 1.0 / fb.max(), DEFAULT_NUMERICS)
+                want[i, b] = 1.0 / x
+        assert np.allclose(got, want, rtol=1e-10, atol=0)
 
 
 # ---------------------------------------------------------------- Hoelder

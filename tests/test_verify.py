@@ -95,9 +95,9 @@ def test_opnorm_dominates_sawyer():
 
 def test_opnorm_witness_replays(line4):
     est = opnorm_lower_bound(line4, ATOM4, ONES4, 2.0)
-    from shtlab.suite import _replay_ratio
+    from shtlab.verify import _ratio
 
-    assert _replay_ratio(line4, ATOM4, ONES4, 2.0, est.witness) == pytest.approx(
+    assert _ratio(line4, ATOM4, ONES4, 2.0, est.witness) == pytest.approx(
         est.value, rel=1e-9
     )
 
@@ -138,10 +138,10 @@ def test_probe_moen_line4(line4):
 
 def test_chi0_witness_ratio_is_frozen_value(line4):
     # independent anchor: the indicator of {0} reproduces (205/144)**0.5 exactly
-    from shtlab.suite import _replay_ratio
+    from shtlab.verify import _ratio
 
     chi0 = np.array([1.0, 0.0, 0.0, 0.0])
-    assert _replay_ratio(line4, ONES4, ONES4, 2.0, chi0) == pytest.approx(
+    assert _ratio(line4, ONES4, ONES4, 2.0, chi0) == pytest.approx(
         math.sqrt(205.0 / 144.0), rel=1e-12
     )
 

@@ -10,6 +10,7 @@ import argparse
 import io
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -103,13 +104,7 @@ def _jsonable(x):
 def _cmd_profile(args) -> int:
     space = parse_space(load_json(args.space))
     prof = space_profile(space)
-    obj = {
-        "n": space.n,
-        "kappa": prof.kappa,
-        "c_mu": prof.c_mu,
-        "d_mu": prof.d_mu,
-        "engulf": prof.engulf,
-    }
+    obj = {"n": space.n, **asdict(prof)}
     rows = [["name", "value"]] + [[k, v] for k, v in sorted(obj.items())]
     _emit(obj, args, csv_rows=rows)
     return 0

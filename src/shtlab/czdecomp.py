@@ -41,6 +41,7 @@ from .space import (
     SpaceProfile,
     ball_mask,
     ball_table,
+    dilate_ball,
 )
 
 __all__ = [
@@ -121,18 +122,14 @@ def _select_level(space, tbl, base_mask, mf, avg, lam):
     omega = np.nonzero(omega_mask)[0]
     if omega.size == 0:
         return omega, []
-    admissible = avg > lam
-    chosen: dict[int, None] = {}
-    for x in omega:
-        rows = np.nonzero(admissible & tbl.member[:, x])[0]
-        # maximal radius, ties to the smallest center
-        order = np.lexsort((tbl.centers[rows], -tbl.radii[rows]))
-        chosen[int(rows[order[0]])] = None
-    rows = np.array(sorted(chosen))
-    order = np.lexsort((tbl.centers[rows], -tbl.radii[rows]))
+    # per point of Omega, the first admissible ball containing it in the
+    # maximal-radius order (radius descending, ties to the smallest center)
+    order = tbl.by_radius
+    candidate = (avg[order] > lam)[:, None] & tbl.member[np.ix_(order, omega)]
+    first = np.unique(candidate.argmax(axis=0))
     union = np.zeros(space.n, dtype=bool)
     kept = []
-    for r in rows[order]:
+    for r in order[first]:
         if not (tbl.member[r] & union).any():
             kept.append(int(r))
             union |= tbl.member[r]
@@ -168,10 +165,6 @@ def cz_decompose(
     )
 
 
-def _dilated_mask(space, ball: Ball, lam: float) -> np.ndarray:
-    return space.dist[ball.center] < lam * ball.radius
-
-
 def verify_cz_properties(
     space: QuasiMetricSpace,
     dec: CZDecomposition,
@@ -194,7 +187,8 @@ def verify_cz_properties(
     tbl = ball_table(space)
     violations = []
     slack = rel_headroom * abs(dec.level)
-    omega_set = set(int(x) for x in dec.omega)
+    omega_mask = np.zeros(space.n, dtype=bool)
+    omega_mask[dec.omega] = True
     masks = [np.isin(np.arange(space.n), m) for m in dec.selected_members]
 
     for i in range(len(masks)):
@@ -206,15 +200,13 @@ def verify_cz_properties(
 
     covered = np.zeros(space.n, dtype=bool)
     for ball, mask in zip(dec.selected, masks):
-        for y in np.nonzero(mask)[0]:
-            if int(y) not in omega_set:
-                violations.append(
-                    {"kind": "selected_outside_omega", "ball": ball, "point": int(y)}
-                )
-        covered |= _dilated_mask(space, ball, config.theta)
-    for x in dec.omega:
-        if not covered[x]:
-            violations.append({"kind": "uncovered_point", "point": int(x)})
+        for y in np.nonzero(mask & ~omega_mask)[0]:
+            violations.append(
+                {"kind": "selected_outside_omega", "ball": ball, "point": int(y)}
+            )
+        covered |= ball_mask(space, dilate_ball(ball, config.theta))
+    for x in dec.omega[~covered[dec.omega]]:
+        violations.append({"kind": "uncovered_point", "point": int(x)})
 
     fm = f * space.mass
     for ball, mask in zip(dec.selected, masks):
@@ -223,11 +215,12 @@ def verify_cz_properties(
             violations.append({"kind": "low_average", "ball": ball, "average": avg})
 
     undilated = 0
+    eta_dilates = tbl.dilated(config.eta)
     for ball, mask in zip(dec.selected, masks):
         contains = ~(tbl.member & ~mask[None, :]).any(axis=1)  # member sets >= mask
         big = contains & (tbl.radii >= config.eta * ball.radius)
         for r in np.nonzero(big)[0]:
-            outer = _dilated_mask(space, tbl.balls[r], config.eta)
+            outer = eta_dilates[r]
             avg_out = float(fm[outer].sum() / space.mass[outer].sum())
             if avg_out > dec.level + slack:
                 violations.append(

@@ -57,11 +57,7 @@ def restricted_maximal_table(space: QuasiMetricSpace, f) -> np.ndarray:
     f = as_field(space, f)
     tbl = ball_table(space)
     avg = (tbl.member @ (tbl.weighted * f[None, :]).T) / tbl.mu[:, None]  # [b', b]
-    out = np.empty((tbl.m, space.n))
-    for y in range(space.n):
-        rows = tbl.member[:, y]
-        out[:, y] = avg[rows, :].max(axis=0)
-    return out
+    return tbl.point_max(avg.T)
 
 
 def orlicz_maximal(

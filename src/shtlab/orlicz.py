@@ -36,7 +36,7 @@ import numpy as np
 from scipy import integrate, special
 
 from .errors import InputError
-from .space import Ball, QuasiMetricSpace, ball_mask, ball_table
+from .space import Ball, QuasiMetricSpace, ball_mask, ball_table, rows_per_chunk
 
 __all__ = [
     "NumericsConfig",
@@ -107,6 +107,16 @@ def _bisect_increasing(
     return np.exp(0.5 * (xlo + xhi))
 
 
+def _positive_part(func, t):
+    """func on the positive entries of t, 0 elsewhere; a scalar gives a float."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros(t.shape)
+    pos = t > 0
+    if pos.any():
+        out[pos] = func(t[pos])
+    return out if out.ndim else float(out)
+
+
 class YoungFunction:
     """Convex increasing Phi with Phi(0) = 0 and Phi(t) -> inf."""
 
@@ -147,10 +157,7 @@ class Power(YoungFunction):
         return np.asarray(y, dtype=float) ** (1.0 / self.s)
 
     def derivative(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.s == 1.0:
-            return np.ones_like(t)
-        return self.s * t ** (self.s - 1.0)
+        return self.s * np.asarray(t, dtype=float) ** (self.s - 1.0)
 
     def conjugate(self) -> "Power":
         if self.s <= 1:
@@ -182,10 +189,7 @@ class PowerLog(YoungFunction):
     def derivative(self, t):
         t = np.asarray(t, dtype=float)
         ln = np.log(math.e + t)
-        if self.s == 1.0:
-            lead = ln**self.a
-        else:
-            lead = self.s * t ** (self.s - 1.0) * ln**self.a
+        lead = self.s * t ** (self.s - 1.0) * ln**self.a
         return lead + self.a * t**self.s * ln ** (self.a - 1.0) / (math.e + t)
 
     def derivative_root_guess(self, t):
@@ -195,13 +199,9 @@ class PowerLog(YoungFunction):
         return np.clip((t / self.s) ** (1.0 / (self.s - 1.0)), 1e-290, 1e290)
 
     def inverse(self, y, cfg: NumericsConfig = DEFAULT_NUMERICS):
-        y = np.asarray(y, dtype=float)
-        out = np.zeros(y.shape)
-        pos = y > 0
-        if pos.any():
-            yp = y[pos]
-            out[pos] = _bisect_increasing(self, yp, yp ** (1.0 / self.s), cfg)
-        return out if out.ndim else float(out)
+        return _positive_part(
+            lambda yp: _bisect_increasing(self, yp, yp ** (1.0 / self.s), cfg), y
+        )
 
     def conjugate(self) -> "NumericConjugate":
         return NumericConjugate(self)
@@ -232,35 +232,21 @@ class NumericConjugate(YoungFunction):
             base.derivative, t, u0, self.cfg, expand=16.0, steps=self.cfg.legendre_iter
         )
 
+    def _value(self, t):
+        u = self._argmax(t)
+        return np.maximum(u * t - self.base(u), 0.0)
+
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
-        out = np.zeros(t.shape)
-        pos = t > 0
-        if pos.any():
-            u = self._argmax(t[pos])
-            out[pos] = np.maximum(u * t[pos] - self.base(u), 0.0)
-        return float(out[0]) if scalar else out
+        return _positive_part(self._value, t)
 
     def derivative(self, t):
         # envelope: d/dt sup_u (u t - Phi(u)) = argmax u
-        t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape)
-        pos = t > 0
-        if pos.any():
-            out[pos] = self._argmax(t[pos])
-        return out
+        return _positive_part(self._argmax, t)
 
     def inverse(self, y):
-        y = np.asarray(y, dtype=float)
-        scalar = y.ndim == 0
-        y = np.atleast_1d(y)
-        out = np.zeros(y.shape)
-        pos = y > 0
-        if pos.any():
-            out[pos] = _bisect_increasing(self, y[pos], np.sqrt(y[pos]), self.cfg)
-        return float(out[0]) if scalar else out
+        return _positive_part(
+            lambda yp: _bisect_increasing(self, yp, np.sqrt(yp), self.cfg), y
+        )
 
     def conjugate(self) -> YoungFunction:
         return self.base
@@ -288,9 +274,7 @@ def _norms_core(member, weighted, mu, mass, fmat, phi, cfg):
     m = member.shape[0]
     out = np.zeros((k, m))
     mu_ratio = float(mu.max() / mass.min())
-    # chunk the (k, m, n) workspace
-    n = member.shape[1]
-    chunk = max(1, int(4_000_000 // max(1, m * n)))
+    chunk = rows_per_chunk(member.size)  # bounds the (k, m, n) workspace
     for start in range(0, k, chunk):
         rows = slice(start, min(start + chunk, k))
         fx = fmat[rows][:, None, :] * member[None, :, :]  # (kc, m, n)

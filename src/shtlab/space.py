@@ -47,6 +47,16 @@ __all__ = [
     "check_dilation_bounds",
 ]
 
+# Element budget of one dense (rows, balls, points) workspace.  Every batched
+# reduction over the ball table (point maxima, Luxemburg sweeps) chunks its
+# leading rows to stay within it.
+WORKSPACE_ELEMENTS = 4_000_000
+
+
+def rows_per_chunk(cells: int) -> int:
+    """Rows of a (rows, cells) workspace that fit the element budget."""
+    return max(1, WORKSPACE_ELEMENTS // max(1, cells))
+
 
 @dataclass(frozen=True)
 class Ball:
@@ -243,7 +253,11 @@ class BallTable:
     """Dense view of the canonical ball family for vectorized sweeps.
 
     ``member[b, y]`` is the membership matrix, ``mu[b]`` the ball measures,
-    ``weighted[b, y] = member * mass`` the row weights used by averages.
+    ``weighted[b, y] = member * mass`` the row weights used by averages, and
+    ``by_radius`` the rows sorted by radius descending, then center ascending
+    (the stopping-time selection order).  Maximal operators, weight
+    constants, decompositions and the space checks reduce over balls through
+    this table; only ``space_profile`` sums per center.
     """
 
     def __init__(self, space: QuasiMetricSpace):
@@ -253,22 +267,39 @@ class BallTable:
         radii = np.array([b.radius for b in self.balls])
         self.centers = centers
         self.radii = radii
-        self.member = space.dist[centers] < radii[:, None]
+        self.member = self.dilated(1.0)
         self.weighted = self.member * space.mass[None, :]
         self.mu = self.weighted.sum(axis=1)
+        self.by_radius = np.lexsort((centers, -radii))
 
     @property
     def m(self) -> int:
         return len(self.balls)
 
+    def dilated(self, lam: float) -> np.ndarray:
+        """Membership (m, n) of every dilate lam*B: dist < lam * r(B)."""
+        return self.space.dist[self.centers] < (lam * self.radii)[:, None]
+
     def averages(self, f: np.ndarray) -> np.ndarray:
         """Ball averages (1/mu(B)) * sum_B f dmu for all canonical balls."""
         return (self.weighted @ f) / self.mu
 
-    def point_max(self, per_ball: np.ndarray) -> np.ndarray:
-        """max over balls containing each point of a per-ball quantity."""
-        masked = np.where(self.member, per_ball[:, None], -np.inf)
-        return masked.max(axis=0)
+    def point_max(self, per_ball) -> np.ndarray:
+        """Max over the balls containing each point, (..., m) -> (..., n).
+
+        The ball axis is last.  Leading rows are reduced in chunks that keep
+        the masked (rows, m, n) workspace within the element budget; the
+        result is C-contiguous.
+        """
+        per_ball = np.asarray(per_ball, dtype=float)
+        rows = per_ball.reshape(-1, self.m)
+        out = np.empty((rows.shape[0], self.space.n))
+        chunk = rows_per_chunk(self.member.size)
+        for start in range(0, rows.shape[0], chunk):
+            block = rows[start:start + chunk]
+            masked = np.where(self.member, block[:, :, None], -np.inf)
+            out[start:start + chunk] = masked.max(axis=1)
+        return out.reshape(per_ball.shape[:-1] + (self.space.n,))
 
 
 def ball_table(space: QuasiMetricSpace) -> BallTable:
@@ -297,17 +328,12 @@ def check_engulfing(space: QuasiMetricSpace, profile: SpaceProfile) -> list[tupl
     signals a profiling bug, not bad user input.
     """
     tbl = ball_table(space)
-    inter = (tbl.member.astype(float) @ tbl.member.T.astype(float)) > 0
-    violations = []
-    for j in range(tbl.m):
-        target = space.dist[tbl.centers[j]] < profile.engulf * tbl.radii[j]
-        eligible = inter[:, j] & (tbl.radii <= tbl.radii[j])
-        escaped = tbl.member[eligible] & ~target[None, :]
-        if escaped.any():
-            for i in np.nonzero(eligible)[0]:
-                if (tbl.member[i] & ~target).any():
-                    violations.append((tbl.balls[i], tbl.balls[j]))
-    return violations
+    member = tbl.member.astype(float)
+    outside = (~tbl.dilated(profile.engulf)).astype(float)
+    # [i, j]: B_i meets B_j, and B_i has a point outside engulf * B_j
+    bad = ((member @ member.T) > 0) & ((member @ outside.T) > 0)
+    bad &= tbl.radii[:, None] <= tbl.radii[None, :]
+    return [(tbl.balls[i], tbl.balls[j]) for j, i in np.argwhere(bad.T)]
 
 
 def check_dilation_bounds(
@@ -326,8 +352,7 @@ def check_dilation_bounds(
     for lam in lambdas:
         if lam <= 1:
             continue
-        dil = space.dist[tbl.centers] < (lam * tbl.radii)[:, None]
-        mu_dil = dil @ space.mass
+        mu_dil = tbl.dilated(lam) @ space.mass
         bound = (2.0 * lam) ** profile.d_mu * tbl.mu
         bad = mu_dil > bound * (1.0 + rel_headroom)
         for i in np.nonzero(bad)[0]:

@@ -15,6 +15,7 @@ checks see genuinely multi-level families.
 from __future__ import annotations
 
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -244,12 +245,7 @@ def run_suite(manifest: dict) -> tuple[dict, dict]:
             "name": name,
             "n": space.n,
             "p": p,
-            "profile": {
-                "kappa": profile.kappa,
-                "c_mu": profile.c_mu,
-                "d_mu": profile.d_mu,
-                "engulf": profile.engulf,
-            },
+            "profile": asdict(profile),
             "config": {"theta": config.theta, "eta": config.eta, "a": config.a},
         }
 

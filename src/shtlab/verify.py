@@ -324,7 +324,7 @@ def weak_rhi_probe(
     scale = float(w.max())
     wn = w / scale
     factor = 2.0 * (4.0 * profile.kappa) ** profile.d_mu
-    outer = space.dist[tbl.centers] < (2.0 * profile.kappa * tbl.radii)[:, None]
+    outer = tbl.dilated(2.0 * profile.kappa)
     outer_avg = (outer * space.mass[None, :]) @ wn / (outer @ space.mass)
     rhs = factor * outer_avg
 

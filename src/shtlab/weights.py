@@ -129,18 +129,13 @@ def wp_constant(
     p_conjugate(p)
     tbl = ball_table(space)
     sb = tbl.weighted @ sigma
-    live = np.nonzero(sb > 0)[0]
+    live = sb > 0
     g = sigma ** (1.0 / p)
     fmat = g[None, :] * tbl.member[live]          # rows: g * chi_B
     norms = luxemburg_norms_over_balls(space, fmat, phi, cfg)  # (k, m)
-    best = 0.0
-    for row, b in enumerate(live):
-        mphi = np.empty(space.n)
-        for y in range(space.n):
-            mphi[y] = norms[row, tbl.member[:, y]].max()
-        val = float((mphi**p * tbl.weighted[b]).sum() / sb[b])
-        best = max(best, val)
-    return best
+    mphi = tbl.point_max(norms)                   # rows: M_Phi(g * chi_B)
+    totals = (mphi**p * tbl.weighted[live]).sum(axis=1)
+    return float(np.max(totals / sb[live]))
 
 
 def sawyer_constant(space: QuasiMetricSpace, w, sigma, p: float) -> float:

@@ -84,6 +84,23 @@ def test_young_function_shape():
         assert np.all(mid <= (vals[:-1] + vals[1:]) / 2 * (1 + 1e-9))
 
 
+def test_positive_part_scalar_in_float_out():
+    conj = NumericConjugate(PowerLog(2.0, 1.0))
+    for fn in (conj, conj.derivative, conj.inverse, PowerLog(2.0, 1.0).inverse):
+        for t in (2.0, 0.0, -1.0):
+            assert type(fn(t)) is float
+        arr = fn(np.array([0.0, 2.0]))
+        assert isinstance(arr, np.ndarray) and arr[0] == 0.0 and arr[1] == fn(2.0)
+
+
+def test_unit_exponent_derivatives_take_the_general_formula():
+    t = np.array([0.0, 0.5, 1.0, 3.0, 1e300, np.inf])
+    assert np.array_equal(Power(1.0).derivative(t), np.ones_like(t))
+    ln = np.log(math.e + t[:-1])
+    expected = ln**2.0 + 2.0 * t[:-1] * ln / (math.e + t[:-1])
+    assert np.array_equal(PowerLog(1.0, 2.0).derivative(t[:-1]), expected)
+
+
 def test_powerlog_parameter_validation():
     with pytest.raises(InputError):
         PowerLog(0.5, 1.0)

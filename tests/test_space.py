@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from shtlab.errors import InputError
 from shtlab.space import (
     Ball,
     QuasiMetricSpace,
+    SpaceProfile,
+    ball_mask,
     ball_members,
     build_space,
     canonical_radii,
@@ -223,6 +226,23 @@ def test_engulfing_clean_on_random_spaces():
     for trial in range(6):
         sp = random_cloud(rng, int(rng.integers(3, 10)), dim=1 + trial % 2)
         assert check_engulfing(sp, space_profile(sp)) == []
+
+
+def test_engulfing_violations_match_brute_force(line4):
+    # engulf = 1 is too small on the line: a neighbour's ball escapes B_2
+    prof = SpaceProfile(kappa=1.0, c_mu=3.0, d_mu=math.log2(3.0), engulf=1.0)
+    balls = enumerate_balls(line4)
+    expected = []
+    for b2 in balls:
+        target = ball_mask(line4, dilate_ball(b2, prof.engulf))
+        for b1 in balls:
+            m1 = ball_mask(line4, b1)
+            meets = (m1 & ball_mask(line4, b2)).any()
+            if meets and b1.radius <= b2.radius and (m1 & ~target).any():
+                expected.append((b1, b2))
+    got = check_engulfing(line4, prof)
+    assert len(got) == 14
+    assert got == expected
 
 
 def test_dilation_bounds_hold():

@@ -3,9 +3,9 @@ import pytest
 
 from conftest import random_cloud
 from shtlab.errors import InputError
-from shtlab.maximal import restricted_maximal
+from shtlab.maximal import orlicz_maximal, restricted_maximal
 from shtlab.orlicz import Power, PowerLog, young_conjugate
-from shtlab.space import ball_mask, ball_table
+from shtlab.space import ball_mask, ball_table, dilate_ball
 from shtlab.weights import (
     ainfty_exp,
     ainfty_fujii_wilson,
@@ -184,6 +184,56 @@ def test_wp_skips_sigma_null_balls(line4):
     sparse = np.array([4.0, 0.0, 0.0, 0.0])
     val = wp_constant(line4, sparse, 2.0, Power(2))
     assert np.isfinite(val) and val > 0
+
+
+def oracle_wp(space, sigma, p, phi):
+    """Per-ball Orlicz maximal functions of sigma**(1/p) * chi_B, summed."""
+    tbl = ball_table(space)
+    g = sigma ** (1.0 / p)
+    best = 0.0
+    for b in range(tbl.m):
+        sb = (sigma * tbl.weighted[b]).sum()
+        if sb > 0:
+            mphi = orlicz_maximal(space, g * tbl.member[b], phi)
+            best = max(best, (mphi**p * tbl.weighted[b]).sum() / sb)
+    return best
+
+
+def test_wp_matches_per_ball_oracle():
+    rng = np.random.default_rng(41)
+    for trial in range(4):
+        sp = random_cloud(rng, int(rng.integers(3, 7)), dim=1 + trial % 2)
+        sigma = 10.0 ** rng.uniform(-1, 1, sp.n)
+        sigma[rng.integers(sp.n)] = 0.0
+        p = float(rng.uniform(1.3, 3.0))
+        for phi in (Power(float(rng.uniform(1.2, 3.0))), young_conjugate(PowerLog(p, 1.0))):
+            assert wp_constant(sp, sigma, p, phi) == pytest.approx(
+                oracle_wp(sp, sigma, p, phi), rel=1e-10
+            )
+
+
+def test_point_max_rows_match_single_rows(monkeypatch):
+    rng = np.random.default_rng(43)
+    sp = random_cloud(rng, 7, dim=2)
+    tbl = ball_table(sp)
+    per_ball = rng.uniform(size=(10, tbl.m))
+    # a 3-row budget splits the 10 rows into four chunks, the last one short
+    monkeypatch.setattr("shtlab.space.WORKSPACE_ELEMENTS", 3 * tbl.m * sp.n)
+    got = tbl.point_max(per_ball)
+    assert got.shape == (10, sp.n) and got.flags.c_contiguous
+    assert np.array_equal(got, np.array([tbl.point_max(row) for row in per_ball]))
+    assert np.array_equal(tbl.point_max(per_ball.reshape(2, 5, tbl.m)), got.reshape(2, 5, sp.n))
+
+
+def test_dilated_matches_ball_mask():
+    rng = np.random.default_rng(47)
+    sp = random_cloud(rng, 6, dim=2)
+    tbl = ball_table(sp)
+    for lam in (1.0, 1.5, 2.0, 7.25):
+        dil = tbl.dilated(lam)
+        for b, ball in enumerate(tbl.balls):
+            assert np.array_equal(dil[b], ball_mask(sp, dilate_ball(ball, lam)))
+    assert np.array_equal(tbl.dilated(1.0), tbl.member)
 
 
 # ------------------------------------------------------------ Sawyer

@@ -18,12 +18,9 @@ from .space import (
     check_dilation_bounds,
 )
 from .orlicz import (
-    DEFAULT_NUMERICS,
-    NumericsConfig,
     Power,
     PowerLog,
     NumericConjugate,
-    young_conjugate,
     p_conjugate,
     luxemburg_norm,
     alpha_p,

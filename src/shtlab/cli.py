@@ -16,8 +16,8 @@ import numpy as np
 
 from .czdecomp import cz_config, cz_decompose, multi_level_decompose, verify_cz_properties, verify_disjointing
 from .errors import InputError
-from .space import space_profile, whole_space_ball
-from .specio import load_json, parse_field, parse_phi, parse_space, parse_weight
+from .space import Ball, ball_members, space_profile, whole_space_ball
+from .specio import load_json, parse_phi, parse_space, parse_weight
 from .suite import run_suite
 from .verify import _sawyer_ordering, opnorm_lower_bound
 from .weights import constants_report
@@ -94,6 +94,8 @@ def _emit(obj, args, csv_rows=None) -> None:
 
 
 def _jsonable(x):
+    if isinstance(x, Ball):
+        return asdict(x)
     if isinstance(x, (np.floating, np.integer)):
         return x.item()
     if isinstance(x, np.ndarray):
@@ -123,7 +125,7 @@ def _cmd_constants(args) -> int:
     reports = []
     for p in ps:
         phi = parse_phi(args.phi) if args.phi else Power(p_conjugate(p))
-        reports.append(constants_report(space, w, sigma, p, phi).as_dict())
+        reports.append(asdict(constants_report(space, w, sigma, p, phi)))
     obj = reports[0] if len(reports) == 1 else {"sweep": reports}
     header = ["p", "phi", "ap", "two_weight_ap", "ainfty_fw", "ainfty_exp", "bump_ap", "wp", "sawyer"]
     rows = [header] + [[r[k] for k in header] for r in reports]
@@ -132,8 +134,6 @@ def _cmd_constants(args) -> int:
 
 
 def _ball_json(ball, space) -> dict:
-    from .space import ball_members
-
     return {
         "center": int(ball.center),
         "radius": float(ball.radius),
@@ -143,7 +143,7 @@ def _ball_json(ball, space) -> dict:
 
 def _cmd_cz(args) -> int:
     space = parse_space(load_json(args.space))
-    f = parse_field(args.f, space)
+    f = parse_weight(args.f, space)
     profile = space_profile(space)
     config = cz_config(profile, eta=args.eta, a=args.a)
     base = whole_space_ball(space)
@@ -154,7 +154,7 @@ def _cmd_cz(args) -> int:
             "lambda": dec.level,
             "omega": [int(x) for x in dec.omega],
             "balls": [_ball_json(b, space) for b in dec.selected],
-            "violations": [_describe(v) for v in check["violations"]],
+            "violations": check["violations"],
             "undilated_exceedances": check["undilated_exceedances"],
         }
     else:
@@ -173,22 +173,10 @@ def _cmd_cz(args) -> int:
                 }
                 for e in fam.entries
             ],
-            "violations": [_describe(v) for v in check["violations"]],
+            "violations": check["violations"],
         }
     _emit(obj, args)
     return 0 if not obj["violations"] else 1
-
-
-def _describe(v: dict) -> dict:
-    out = {}
-    for k, val in v.items():
-        if hasattr(val, "center"):
-            out[k] = {"center": val.center, "radius": val.radius}
-        elif isinstance(val, tuple):
-            out[k] = [_describe({"b": x})["b"] if hasattr(x, "center") else x for x in val]
-        else:
-            out[k] = val
-    return out
 
 
 def _cmd_opnorm(args) -> int:

@@ -89,12 +89,12 @@ def cz_config(
     theta = 4.0 * kappa**2 + kappa
     if eta is None:
         eta = kappa**2 * (4.0 * kappa + 3.0)
-    if eta <= 1:
-        raise InputError(f"eta must exceed 1, got {eta}")
+    if not 1 < eta < math.inf:
+        raise InputError(f"eta must be finite and exceed 1, got {eta}")
     if a is None:
         a = float(math.ceil(required_level_base(theta, eta, profile.d_mu)))
-    if a <= 1:
-        raise InputError(f"level base a must exceed 1, got {a}")
+    if not 1 < a < math.inf:
+        raise InputError(f"level base a must be finite and exceed 1, got {a}")
     return CZConfig(kappa=kappa, theta=theta, eta=eta, a=float(a), d_mu=profile.d_mu)
 
 
@@ -146,6 +146,8 @@ def cz_decompose(
 ) -> CZDecomposition:
     """Single-level decomposition of {x in base : Mf > lam}."""
     f = as_field(space, f)
+    if not math.isfinite(lam):
+        raise InputError(f"level lambda must be finite, got {lam}")
     base_mask = ball_mask(space, base_ball)
     base_avg = _mask_average(space, f, base_mask)
     if lam < base_avg:
@@ -170,11 +172,10 @@ def verify_cz_properties(
     dec: CZDecomposition,
     f,
     config: CZConfig,
-    rel_headroom: float = 1e-9,
 ) -> dict:
     """Re-assert disjointness and properties i)-iii) by exhaustive enumeration.
 
-    Set inclusions are exact; the two average comparisons carry a relative
+    Set inclusions are exact; the two average comparisons carry a 1e-9 relative
     arithmetic headroom, since the checker deliberately re-sums through a
     different path than the selection and boundary levels (constant f, level
     equal to an attained average) sit within an ulp of the comparison.
@@ -186,7 +187,7 @@ def verify_cz_properties(
     f = as_field(space, f)
     tbl = ball_table(space)
     violations = []
-    slack = rel_headroom * abs(dec.level)
+    slack = 1e-9 * abs(dec.level)
     omega_mask = np.zeros(space.n, dtype=bool)
     omega_mask[dec.omega] = True
     masks = [np.isin(np.arange(space.n), m) for m in dec.selected_members]

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError
-from .orlicz import DEFAULT_NUMERICS, NumericsConfig, YoungFunction, luxemburg_norms_over_balls
+from .orlicz import YoungFunction, luxemburg_norms_over_balls
 from .space import Ball, QuasiMetricSpace, ball_mask, ball_table
 
 __all__ = [
@@ -64,9 +64,8 @@ def orlicz_maximal(
     space: QuasiMetricSpace,
     f,
     phi: YoungFunction,
-    cfg: NumericsConfig = DEFAULT_NUMERICS,
 ) -> np.ndarray:
     """M_Phi f(x) = max over canonical balls containing x of ||f||_{Phi,B}."""
     f = as_field(space, f)
-    norms = luxemburg_norms_over_balls(space, f[None, :], phi, cfg)[0]
+    norms = luxemburg_norms_over_balls(space, f[None, :], phi)[0]
     return ball_table(space).point_max(norms)

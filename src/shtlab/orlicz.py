@@ -24,8 +24,8 @@ log(lam) from a rigorous bracket: with M = max_B f,
 
     M / Phi^{-1}(mu_max/mass_min)  <=  ||f||_{Phi,B}  <=  M / Phi^{-1}(1).
 
-All tolerances live in one configuration record (``DEFAULT_NUMERICS``) so
-tests can reference them.
+Root-finding and quadrature tolerances are the module constants below; each
+checker's headroom sits in the check it serves (see the README).
 """
 from __future__ import annotations
 
@@ -39,13 +39,10 @@ from .errors import InputError
 from .space import Ball, QuasiMetricSpace, ball_mask, ball_table, rows_per_chunk
 
 __all__ = [
-    "NumericsConfig",
-    "DEFAULT_NUMERICS",
     "YoungFunction",
     "Power",
     "PowerLog",
     "NumericConjugate",
-    "young_conjugate",
     "p_conjugate",
     "luxemburg_norm",
     "luxemburg_norms_over_balls",
@@ -53,18 +50,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class NumericsConfig:
-    """Root-finding and quadrature tolerances used across the package."""
-
-    rel_tol: float = 1e-12      # relative bracket width ending a root solve
-    max_iter: int = 200         # cap on root-finding iterations
-    legendre_iter: int = 36     # bisection steps locating the Legendre argmax
-    bracket_iter: int = 600     # cap on bracket expansion steps
-    quad_rel_tol: float = 1e-8  # target relative error of the tail integral
-
-
-DEFAULT_NUMERICS = NumericsConfig()
+REL_TOL = 1e-12       # relative bracket width ending a root solve
+MAX_ITER = 200        # cap on root-finding iterations
+LEGENDRE_ITER = 36    # bisection steps locating the Legendre argmax
+BRACKET_ITER = 600    # cap on bracket expansion steps
+QUAD_REL_TOL = 1e-8   # target relative error of the tail integral
 
 
 def p_conjugate(p: float) -> float:
@@ -75,30 +65,30 @@ def p_conjugate(p: float) -> float:
 
 
 def _bisect_increasing(
-    g, y, x0, cfg: NumericsConfig, expand: float = 4.0, steps: int | None = None
+    g, y, x0, expand: float = 4.0, steps: int | None = None
 ):
     """Vectorized inverse of an increasing positive function on (0, inf).
 
     Solves g(x) = y for y > 0 elementwise, bracketing around the initial
     guess x0 by repeated scaling by ``expand``, then bisecting in log(x)
-    until the bracket is rel_tol wide, or for exactly ``steps`` steps.
+    until the bracket is REL_TOL wide, or for exactly ``steps`` steps.
     """
     y = np.asarray(y, dtype=float)
     lo = np.array(x0, dtype=float, copy=True)
     hi = np.array(x0, dtype=float, copy=True)
-    for _ in range(cfg.bracket_iter):
+    for _ in range(BRACKET_ITER):
         need = g(lo) > y
         if not need.any():
             break
         lo = np.where(need, lo / expand, lo)
-    for _ in range(cfg.bracket_iter):
+    for _ in range(BRACKET_ITER):
         need = g(hi) < y
         if not need.any():
             break
         hi = np.where(need, hi * expand, hi)
     xlo, xhi = np.log(lo), np.log(hi)
-    for _ in range(cfg.max_iter if steps is None else steps):
-        if steps is None and np.max(xhi - xlo) <= cfg.rel_tol:
+    for _ in range(MAX_ITER if steps is None else steps):
+        if steps is None and np.max(xhi - xlo) <= REL_TOL:
             break
         xm = 0.5 * (xlo + xhi)
         low = g(np.exp(xm)) < y
@@ -198,15 +188,16 @@ class PowerLog(YoungFunction):
             return np.maximum(t, 1.0)
         return np.clip((t / self.s) ** (1.0 / (self.s - 1.0)), 1e-290, 1e290)
 
-    def inverse(self, y, cfg: NumericsConfig = DEFAULT_NUMERICS):
+    def inverse(self, y):
         return _positive_part(
-            lambda yp: _bisect_increasing(self, yp, yp ** (1.0 / self.s), cfg), y
+            lambda yp: _bisect_increasing(self, yp, yp ** (1.0 / self.s)), y
         )
 
     def conjugate(self) -> "NumericConjugate":
         return NumericConjugate(self)
 
 
+@dataclass(frozen=True, repr=False)
 class NumericConjugate(YoungFunction):
     """Legendre conjugate of a smooth Young function.
 
@@ -214,9 +205,7 @@ class NumericConjugate(YoungFunction):
     derivative is increasing, so the solve is a guarded log-bisection.
     """
 
-    def __init__(self, base: YoungFunction, cfg: NumericsConfig = DEFAULT_NUMERICS):
-        self.base = base
-        self.cfg = cfg
+    base: YoungFunction
 
     @property
     def label(self):
@@ -229,7 +218,7 @@ class NumericConjugate(YoungFunction):
         u0 = np.asarray(guess(t) if guess is not None else base.inverse(t), dtype=float)
         u0 = np.where(u0 > 0, u0, 1.0)
         return _bisect_increasing(
-            base.derivative, t, u0, self.cfg, expand=16.0, steps=self.cfg.legendre_iter
+            base.derivative, t, u0, expand=16.0, steps=LEGENDRE_ITER
         )
 
     def _value(self, t):
@@ -245,16 +234,11 @@ class NumericConjugate(YoungFunction):
 
     def inverse(self, y):
         return _positive_part(
-            lambda yp: _bisect_increasing(self, yp, np.sqrt(yp), self.cfg), y
+            lambda yp: _bisect_increasing(self, yp, np.sqrt(yp)), y
         )
 
     def conjugate(self) -> YoungFunction:
         return self.base
-
-
-def young_conjugate(phi: YoungFunction) -> YoungFunction:
-    """Complementary Young function of phi (exponent duality on powers)."""
-    return phi.conjugate()
 
 
 def _root_bracket(phi: YoungFunction, maxf, mu_ratio: float):
@@ -264,7 +248,7 @@ def _root_bracket(phi: YoungFunction, maxf, mu_ratio: float):
     return np.log(maxf / inv_big), np.log(maxf / inv_one)
 
 
-def _norms_core(member, weighted, mu, mass, fmat, phi, cfg):
+def _norms_core(member, weighted, mu, mass, fmat, phi):
     """Luxemburg norms of every row of ``fmat`` over every ball row.
 
     member : (m, n) bool, weighted = member*mass : (m, n), mu : (m,).
@@ -293,26 +277,26 @@ def _norms_core(member, weighted, mu, mass, fmat, phi, cfg):
             s = (phi(fa / lam[:, None]) * wa).sum(axis=1) / mua
             return np.log(s)
 
-        root = np.exp(_illinois(log_gap, xlo, xhi, cfg))
+        root = np.exp(_illinois(log_gap, xlo, xhi))
         buf = np.zeros((rows.stop - rows.start, m))
         buf[kk, bb] = root
         out[rows] = buf
     return out
 
 
-def _illinois(func, xlo, xhi, cfg: NumericsConfig):
+def _illinois(func, xlo, xhi):
     """Illinois-damped false position for a decreasing function.
 
     func(xlo) >= 0 >= func(xhi) elementwise; returns x with |bracket| <=
-    rel_tol.  Converges superlinearly on the near-affine log-log constraint
+    REL_TOL.  Converges superlinearly on the near-affine log-log constraint
     while keeping the bisection bracket guarantee.
     """
     fa = func(xlo)
     fb = func(xhi)
     side = np.zeros(xlo.shape, dtype=int)
-    for _ in range(cfg.max_iter):
+    for _ in range(MAX_ITER):
         width = xhi - xlo
-        if np.max(width) <= cfg.rel_tol:
+        if np.max(width) <= REL_TOL:
             break
         denom = fb - fa
         mid = 0.5 * (xlo + xhi)
@@ -337,7 +321,6 @@ def luxemburg_norm(
     f,
     ball: Ball,
     phi: YoungFunction,
-    cfg: NumericsConfig = DEFAULT_NUMERICS,
 ) -> float:
     """Local Luxemburg norm of a nonnegative function over one ball."""
     f = np.asarray(f, dtype=float)
@@ -348,7 +331,7 @@ def luxemburg_norm(
     member = ball_mask(space, ball)[None, :]
     weighted = member * space.mass[None, :]
     mu = weighted.sum(axis=1)
-    norms = _norms_core(member, weighted, mu, space.mass, f[None, :], phi, cfg)
+    norms = _norms_core(member, weighted, mu, space.mass, f[None, :], phi)
     return float(norms[0, 0])
 
 
@@ -356,16 +339,15 @@ def luxemburg_norms_over_balls(
     space: QuasiMetricSpace,
     fmat,
     phi: YoungFunction,
-    cfg: NumericsConfig = DEFAULT_NUMERICS,
 ) -> np.ndarray:
     """Norms of each row of ``fmat`` over every canonical ball, shape (k, m)."""
     tbl = ball_table(space)
     fmat = np.atleast_2d(np.asarray(fmat, dtype=float))
-    return _norms_core(tbl.member, tbl.weighted, tbl.mu, space.mass, fmat, phi, cfg)
+    return _norms_core(tbl.member, tbl.weighted, tbl.mu, space.mass, fmat, phi)
 
 
 def alpha_p(
-    phi: YoungFunction, p: float, cfg: NumericsConfig = DEFAULT_NUMERICS
+    phi: YoungFunction, p: float
 ) -> float:
     """Tail integral int_1^inf Phi(t) t^{-p} dt/t; inf marks divergence.
 
@@ -395,7 +377,7 @@ def alpha_p(
                 math.exp(c) * c ** -(a + 1.0) * special.gammaincc(a + 1.0, c * (upper + 1.0))
                 * special.gamma(a + 1.0)
             )
-            if tail_bound <= 0.5 * cfg.quad_rel_tol * main:
+            if tail_bound <= 0.5 * QUAD_REL_TOL * main:
                 return main + 0.5 * tail_bound
             upper *= 2.0
         raise RuntimeError("tail integral failed to certify its remainder")

@@ -58,6 +58,13 @@ def rows_per_chunk(cells: int) -> int:
     return max(1, WORKSPACE_ELEMENTS // max(1, cells))
 
 
+def _float_array(values, what: str) -> np.ndarray:
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{what} must be an array of numbers") from exc
+
+
 @dataclass(frozen=True)
 class Ball:
     """Open ball: center index plus numeric radius (> 0)."""
@@ -84,8 +91,8 @@ class QuasiMetricSpace:
     """
 
     def __init__(self, dist, mass):
-        dist = np.asarray(dist, dtype=float)
-        mass = np.asarray(mass, dtype=float)
+        dist = _float_array(dist, "dist")
+        mass = _float_array(mass, "mass")
         if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
             raise InputError(f"distance matrix must be square, got shape {dist.shape}")
         n = dist.shape[0]
@@ -167,9 +174,11 @@ def build_space(spec: dict) -> QuasiMetricSpace:
         shape = spec.get("shape")
         if not isinstance(shape, (list, tuple)) or not shape:
             raise InputError("grid space spec requires a nonempty 'shape' list")
+        if not all(type(s) in (int, float) and s >= 1 and float(s).is_integer() for s in shape):
+            raise InputError(f"grid 'shape' entries must be positive integers, got {shape}")
         coords = _grid_coordinates(tuple(int(s) for s in shape))
         metric = spec.get("metric", "l1")
-        if metric not in _METRIC_ORDERS:
+        if not isinstance(metric, str) or metric not in _METRIC_ORDERS:
             raise InputError(f"unknown metric {metric!r}; expected l1, l2 or linf")
         diff = coords[:, None, :] - coords[None, :, :]
         dist = np.linalg.norm(diff, ord=_METRIC_ORDERS[metric], axis=2)
@@ -226,6 +235,8 @@ def space_profile(space: QuasiMetricSpace) -> SpaceProfile:
 
 
 def ball_mask(space: QuasiMetricSpace, ball: Ball) -> np.ndarray:
+    if not 0 <= ball.center < space.n:
+        raise InputError(f"ball center {ball.center} out of range for {space.n} points")
     if ball.radius <= 0:
         raise InputError(f"ball radius must be positive, got {ball.radius}")
     return space.dist[ball.center] < ball.radius
@@ -340,11 +351,10 @@ def check_dilation_bounds(
     space: QuasiMetricSpace,
     profile: SpaceProfile,
     lambdas,
-    rel_headroom: float = 1e-12,
 ) -> list[dict]:
     """Verify mu(lam*B) <= (2*lam)**d_mu * mu(B) over all canonical balls.
 
-    ``rel_headroom`` absorbs rounding in the transcendental bound; the
+    A 1e-12 relative headroom absorbs rounding in the transcendental bound; the
     inequality itself is exact given the profiled doubling constant.
     """
     tbl = ball_table(space)
@@ -354,7 +364,7 @@ def check_dilation_bounds(
             continue
         mu_dil = tbl.dilated(lam) @ space.mass
         bound = (2.0 * lam) ** profile.d_mu * tbl.mu
-        bad = mu_dil > bound * (1.0 + rel_headroom)
+        bad = mu_dil > bound * (1.0 + 1e-12)
         for i in np.nonzero(bad)[0]:
             violations.append(
                 {

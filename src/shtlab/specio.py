@@ -9,13 +9,12 @@ import numpy as np
 
 from .errors import InputError
 from .orlicz import Power, PowerLog, YoungFunction
-from .space import QuasiMetricSpace, build_space
+from .space import QuasiMetricSpace, _float_array, build_space
 
 __all__ = [
     "load_json",
     "parse_space",
     "parse_weight",
-    "parse_field",
     "parse_phi",
 ]
 
@@ -37,7 +36,7 @@ def parse_space(obj) -> QuasiMetricSpace:
 
 
 def _as_array(values, n: int, what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+    arr = _float_array(values, what)
     if arr.shape != (n,):
         raise InputError(f"{what} must be a length-{n} array, got shape {arr.shape}")
     if np.any(np.isnan(arr)):
@@ -51,7 +50,7 @@ def parse_weight(obj, space: QuasiMetricSpace) -> np.ndarray:
     """Weight spec: raw array, {"type": "array", ...} or {"type": "power", ...}.
 
     The power form is w[y] = (dist[center][y] + offset)**alpha with a strictly
-    positive offset required when alpha < 0.
+    positive offset required when alpha < 0.  Function vectors parse alike.
     """
     if isinstance(obj, str):
         obj = load_json(obj)
@@ -66,20 +65,15 @@ def parse_weight(obj, space: QuasiMetricSpace) -> np.ndarray:
         try:
             alpha = float(obj["alpha"])
             center = int(obj["center"])
+            offset = float(obj.get("offset", 0.0))
         except (KeyError, TypeError, ValueError) as exc:
-            raise InputError("power weight spec requires numeric 'alpha' and 'center'") from exc
-        offset = float(obj.get("offset", 0.0))
+            raise InputError("power weight needs numeric 'alpha', 'center' (and 'offset')") from exc
         if not 0 <= center < space.n:
             raise InputError(f"power weight center {center} out of range")
         if alpha < 0 and offset <= 0:
             raise InputError("power weight with alpha < 0 requires offset > 0")
         return (space.dist[center] + offset) ** alpha
     raise InputError(f"unknown weight type {kind!r}; expected 'array' or 'power'")
-
-
-def parse_field(obj, space: QuasiMetricSpace) -> np.ndarray:
-    """Function vectors accept the same forms as weights."""
-    return parse_weight(obj, space)
 
 
 def parse_phi(obj) -> YoungFunction:

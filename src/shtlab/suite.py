@@ -30,7 +30,7 @@ from .czdecomp import (
 from .errors import InputError
 from .maximal import hl_maximal
 from .space import ball_mask, check_dilation_bounds, check_engulfing, space_profile, whole_space_ball
-from .specio import parse_field, parse_phi, parse_space, parse_weight
+from .specio import parse_phi, parse_space, parse_weight
 from .verify import (
     _ratio,
     _sawyer_ordering,
@@ -47,8 +47,8 @@ __all__ = ["default_manifest", "run_suite"]
 _P_GRID = (1.2, 1.5, 2.0, 3.0, 4.0)
 
 
-def _round(values, digits=12):
-    return [float(np.round(v, digits)) for v in np.asarray(values, dtype=float).ravel()]
+def _round(values):
+    return [float(np.round(v, 12)) for v in np.asarray(values, dtype=float).ravel()]
 
 
 def _random_space_spec(rng: np.random.Generator) -> dict:
@@ -78,10 +78,10 @@ def _random_space_spec(rng: np.random.Generator) -> dict:
     }
 
 
-def _positive(rng, n, span=1.0):
+def _positive(rng, n):
     if rng.random() < 0.3:
         return [1.0] * n
-    return _round(10.0 ** rng.uniform(-span, span, size=n))
+    return _round(10.0 ** rng.uniform(-1.0, 1.0, size=n))
 
 
 def _weight_spec(rng, n, allow_zero=False) -> dict:
@@ -273,7 +273,7 @@ def run_suite(manifest: dict) -> tuple[dict, dict]:
         for phi_spec in inst.get("phis", _phi_specs(p)):
             phi = parse_phi(phi_spec)
             chain = verify_main_chain(space, w, sigma, p, phi, config=config, profile=profile)
-            chains.append(chain.as_dict())
+            chains.append(asdict(chain))
             if not chain.passed:
                 violations.append(
                     {"instance": name, "check": "chain", "phi": phi.label, "slack": chain.slack}
@@ -380,5 +380,5 @@ def run_suite(manifest: dict) -> tuple[dict, dict]:
 def _decomposition_inputs(item: dict):
     """(name, space, f, default config, whole-space ball) of a cz or multilevel item."""
     space = parse_space(item["space"])
-    f = parse_field(item["f"], space)
+    f = parse_weight(item["f"], space)
     return item["name"], space, f, cz_config(space_profile(space)), whole_space_ball(space)

@@ -10,15 +10,13 @@ the canonical family.  Conventions:
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
 from .maximal import restricted_maximal_table
 from .orlicz import (
-    DEFAULT_NUMERICS,
-    NumericsConfig,
     YoungFunction,
     luxemburg_norms_over_balls,
     p_conjugate,
@@ -101,14 +99,13 @@ def bump_ap(
     sigma,
     p: float,
     phi: YoungFunction,
-    cfg: NumericsConfig = DEFAULT_NUMERICS,
 ) -> float:
     """Orlicz-bump constant: sup_B (avg_B w) * ||sigma**(1/p')||_{Phi,B}**p."""
     w = as_weight(space, w)
     sigma = as_weight(space, sigma)
     pc = p_conjugate(p)
     tbl = ball_table(space)
-    norms = luxemburg_norms_over_balls(space, sigma ** (1.0 / pc), phi, cfg)[0]
+    norms = luxemburg_norms_over_balls(space, sigma ** (1.0 / pc), phi)[0]
     return float(np.max(tbl.averages(w) * norms**p))
 
 
@@ -117,7 +114,6 @@ def wp_constant(
     sigma,
     p: float,
     phi: YoungFunction,
-    cfg: NumericsConfig = DEFAULT_NUMERICS,
 ) -> float:
     """Orlicz generalization of the Fujii-Wilson constant.
 
@@ -132,7 +128,7 @@ def wp_constant(
     live = sb > 0
     g = sigma ** (1.0 / p)
     fmat = g[None, :] * tbl.member[live]          # rows: g * chi_B
-    norms = luxemburg_norms_over_balls(space, fmat, phi, cfg)  # (k, m)
+    norms = luxemburg_norms_over_balls(space, fmat, phi)  # (k, m)
     mphi = tbl.point_max(norms)                   # rows: M_Phi(g * chi_B)
     totals = (mphi**p * tbl.weighted[live]).sum(axis=1)
     return float(np.max(totals / sb[live]))
@@ -172,12 +168,7 @@ class ConstantsReport:
     bump_ap: float
     wp: float
     sawyer: float
-    context: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        out = asdict(self)
-        out.update(out.pop("context"))
-        return out
+    n: int
 
 
 def constants_report(
@@ -186,7 +177,6 @@ def constants_report(
     sigma,
     p: float,
     phi: YoungFunction,
-    cfg: NumericsConfig = DEFAULT_NUMERICS,
 ) -> ConstantsReport:
     """Compute every weight constant in one pass; see ConstantsReport."""
     w = as_weight(space, w)
@@ -199,8 +189,8 @@ def constants_report(
         two_weight_ap=two_weight_ap(space, w, sigma, p),
         ainfty_fw=ainfty_fujii_wilson(space, w),
         ainfty_exp=ainfty_exp(space, w) if strictly_positive else None,
-        bump_ap=bump_ap(space, w, sigma, p, phi, cfg),
-        wp=wp_constant(space, sigma, p, phi, cfg),
+        bump_ap=bump_ap(space, w, sigma, p, phi),
+        wp=wp_constant(space, sigma, p, phi),
         sawyer=sawyer_constant(space, w, sigma, p),
-        context={"n": space.n},
+        n=space.n,
     )

@@ -15,7 +15,7 @@ from shtlab.czdecomp import (
 from shtlab.errors import InputError, PreconditionError
 from shtlab.maximal import hl_maximal
 from shtlab.space import QuasiMetricSpace, ball_mask, space_profile, whole_space_ball
-from shtlab.specio import parse_field, parse_space
+from shtlab.specio import parse_space, parse_weight
 from shtlab.suite import default_manifest
 
 
@@ -77,7 +77,7 @@ def test_generated_levels_never_below_base_average():
     # average; cz-069 and cz-313 of this manifest are two such items
     for item in default_manifest(20260810, 0, 400, 0)["cz"]:
         sp = parse_space(item["space"])
-        f = parse_field(item["f"], sp)
+        f = parse_weight(item["f"], sp)
         dec = cz_decompose(sp, whole_space_ball(sp), f, item["lam"])
         if item["name"] in ("cz-069", "cz-313"):
             assert dec.is_empty

@@ -165,6 +165,9 @@ def test_ball_members_examples(line4):
     assert list(ball_members(line4, Ball(1, 2.0))) == [0, 1, 2]
     assert list(ball_members(line4, Ball(0, 1.0))) == [0]
     assert list(ball_members(line4, Ball(0, 5.0))) == [0, 1, 2, 3]
+    for center in (-1, 4):
+        with pytest.raises(InputError, match=f"center {center}"):
+            ball_members(line4, Ball(center, 1.0))
 
 
 def test_ball_requires_positive_radius(line4):

@@ -6,6 +6,7 @@ import pytest
 from shtlab.cli import main
 from shtlab.errors import InputError
 from shtlab.orlicz import Power, PowerLog
+from shtlab.space import Ball
 from shtlab.specio import parse_phi, parse_space, parse_weight
 
 
@@ -40,6 +41,10 @@ def test_parse_weight_forms(line4):
         parse_weight([1, float("nan"), 1, 1], line4)
     with pytest.raises(InputError, match="negative"):
         parse_weight([1, -1, 1, 1], line4)
+    with pytest.raises(InputError, match="weight values"):
+        parse_weight(["x", 1, 1, 1], line4)
+    with pytest.raises(InputError, match="offset"):
+        parse_weight({"type": "power", "alpha": 1.0, "center": 0, "offset": "x"}, line4)
 
 
 def test_parse_space_rejects_bad_spec():
@@ -47,6 +52,16 @@ def test_parse_space_rejects_bad_spec():
         parse_space({"type": "sphere"})
     with pytest.raises(InputError, match="metric"):
         parse_space({"type": "grid", "shape": [3], "metric": "hamming"})
+    for shape in (["a"], [None], [2.5], [0], [True]):
+        with pytest.raises(InputError, match="shape"):
+            parse_space({"type": "grid", "shape": shape})
+    with pytest.raises(InputError, match="metric"):
+        parse_space({"type": "grid", "shape": [3], "metric": ["l1"]})
+    for dist in ([[0, "x"], ["x", 0]], [[0, 1], [1]]):
+        with pytest.raises(InputError, match="dist"):
+            parse_space({"type": "explicit", "dist": dist, "mass": [1, 1]})
+    with pytest.raises(InputError, match="mass"):
+        parse_space({"type": "explicit", "dist": [[0, 1], [1, 0]], "mass": "x"})
 
 
 # ------------------------------------------------------------ CLI plumbing
@@ -170,6 +185,46 @@ def test_malformed_spec_exits_2(files, capsys, tmp_path):
     assert code == 2
     err = capsys.readouterr().err
     assert "" == err  # stderr already consumed by run_cli's capsys read
+    bad.write_text('{"type": "grid", "shape": ["a"]}')
+    code, _ = run_cli(["profile", "--space", str(bad)], capsys)
+    assert code == 2
+
+
+@pytest.mark.parametrize(
+    "option", [["--lambda", "nan"], ["--lambda", "inf"], ["--a", "nan"], ["--a", "inf"],
+               ["--eta", "nan"], ["--eta", "inf"]],
+    ids=" ".join,
+)
+def test_cz_non_finite_option_exits_2(files, capsys, option):
+    code, out = run_cli(
+        ["cz", "--space", files["space"], "--f", files["spike"], *option], capsys
+    )
+    assert code == 2 and out == ""
+
+
+def test_cz_violations_write_balls(files, capsys, monkeypatch):
+    import shtlab.cli as cli
+
+    b1, b2 = Ball(0, 1.0), Ball(2, 1.5)
+    found = [
+        {"kind": "overlap", "balls": (b1, b2)},
+        {"kind": "low_average", "ball": b1, "average": 0.5},
+    ]
+    monkeypatch.setattr(
+        cli, "verify_cz_properties", lambda *a: {"violations": found, "undilated_exceedances": 0}
+    )
+    monkeypatch.setattr(cli, "verify_disjointing", lambda *a: {"violations": found})
+    c0, c2 = {"center": 0, "radius": 1.0}, {"center": 2, "radius": 1.5}
+    want = [
+        {"kind": "overlap", "balls": [c0, c2]},
+        {"kind": "low_average", "ball": c0, "average": 0.5},
+    ]
+    for mode in (["--lambda", "4"], ["--a", "4", "--allow-small-a"]):
+        code, out = run_cli(
+            ["cz", "--space", files["space"], "--f", files["spike"], *mode], capsys
+        )
+        assert code == 1
+        assert json.loads(out)["violations"] == want
 
 
 def test_malformed_json_exits_2(files, capsys, tmp_path):

@@ -10,7 +10,6 @@ from .space import (
     SpaceProfile,
     build_space,
     space_profile,
-    enumerate_balls,
     ball_members,
     dilate_ball,
     whole_space_ball,

@@ -5,8 +5,8 @@ strictly positive point masses.  Balls are open: ``y`` belongs to ``B(x, r)``
 iff ``dist[x, y] < r``.  Membership changes only when the radius crosses one
 of the finitely many distances from the center, so per center the canonical
 radii (the positive distance values, plus one radius past the maximum) realize
-every achievable member set exactly once.  Every supremum "over all balls" in
-this package is therefore an exact maximum over the canonical family.
+every achievable member set exactly once.  ``BallTable`` builds this family,
+and every supremum "over all balls" in this package is an exact maximum over it.
 
 Structural constants profiled here:
 
@@ -36,8 +36,6 @@ __all__ = [
     "BallTable",
     "build_space",
     "space_profile",
-    "canonical_radii",
-    "enumerate_balls",
     "ball_table",
     "ball_members",
     "ball_mask",
@@ -61,8 +59,13 @@ def rows_per_chunk(cells: int) -> int:
 def _float_array(values, what: str) -> np.ndarray:
     try:
         return np.asarray(values, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{what} must be an array of numbers") from exc
+
+
+def _is_integer(value) -> bool:
+    """An int or an integral float; a bool or a numeric string is not."""
+    return type(value) is int or type(value) is float and value.is_integer()
 
 
 @dataclass(frozen=True)
@@ -174,7 +177,7 @@ def build_space(spec: dict) -> QuasiMetricSpace:
         shape = spec.get("shape")
         if not isinstance(shape, (list, tuple)) or not shape:
             raise InputError("grid space spec requires a nonempty 'shape' list")
-        if not all(type(s) in (int, float) and s >= 1 and float(s).is_integer() for s in shape):
+        if not all(_is_integer(s) and s >= 1 for s in shape):
             raise InputError(f"grid 'shape' entries must be positive integers, got {shape}")
         coords = _grid_coordinates(tuple(int(s) for s in shape))
         metric = spec.get("metric", "l1")
@@ -189,20 +192,6 @@ def build_space(spec: dict) -> QuasiMetricSpace:
             mass = np.ones(coords.shape[0])
         return QuasiMetricSpace(dist, mass)
     raise InputError(f"unknown space type {kind!r}; expected 'grid' or 'explicit'")
-
-
-def canonical_radii(space: QuasiMetricSpace, center: int) -> np.ndarray:
-    """Radii realizing every achievable member set centered at ``center``.
-
-    Positive distinct distances from the center (the smallest realizes the
-    singleton), plus 2*max distance for the full set.  A one-point space gets
-    the single radius 1.
-    """
-    row = space.dist[center]
-    pos = np.unique(row[row > 0])
-    if pos.size == 0:
-        return np.array([1.0])
-    return np.append(pos, 2.0 * pos[-1])
 
 
 def space_profile(space: QuasiMetricSpace) -> SpaceProfile:
@@ -221,11 +210,13 @@ def space_profile(space: QuasiMetricSpace) -> SpaceProfile:
             ratio = np.where(offdiag[:, :, None], numer / denom, 0.0)
         kappa = max(1.0, float(np.nanmax(ratio)))
     c_mu = 1.0
-    for x in range(n):
-        radii = canonical_radii(space, x)
-        inner = (dist[x][None, :] < radii[:, None]) @ space.mass
-        outer = (dist[x][None, :] < 2.0 * radii[:, None]) @ space.mass
-        c_mu = max(c_mu, float(np.max(outer / inner)))
+    tbl = ball_table(space)
+    # One product per center, not one over the table: OpenBLAS sums a row of
+    # a bool-matrix @ mass product in an order that depends on where the row
+    # sits in the block, and a table-wide product moves c_mu by an ulp.
+    cuts = np.searchsorted(tbl.centers, np.arange(1, n))
+    for inner, outer in zip(np.split(tbl.member, cuts), np.split(tbl.dilated(2.0), cuts)):
+        c_mu = max(c_mu, float(np.max((outer @ space.mass) / (inner @ space.mass))))
     return SpaceProfile(
         kappa=kappa,
         c_mu=c_mu,
@@ -247,19 +238,6 @@ def ball_members(space: QuasiMetricSpace, ball: Ball) -> np.ndarray:
     return np.nonzero(ball_mask(space, ball))[0]
 
 
-def enumerate_balls(space: QuasiMetricSpace) -> list[Ball]:
-    """One ball per distinct achievable member set, per center.
-
-    Member sets strictly grow along the sorted canonical radii, so no
-    deduplication is needed.  Order: by center, then by radius.
-    """
-    balls = []
-    for x in range(space.n):
-        for r in canonical_radii(space, x):
-            balls.append(Ball(center=x, radius=float(r)))
-    return balls
-
-
 class BallTable:
     """Dense view of the canonical ball family for vectorized sweeps.
 
@@ -267,15 +245,20 @@ class BallTable:
     ``weighted[b, y] = member * mass`` the row weights used by averages, and
     ``by_radius`` the rows sorted by radius descending, then center ascending
     (the stopping-time selection order).  Maximal operators, weight
-    constants, decompositions and the space checks reduce over balls through
-    this table; only ``space_profile`` sums per center.
+    constants, decompositions and the space profile and checks reduce over
+    balls through this table.
     """
 
     def __init__(self, space: QuasiMetricSpace):
         self.space = space
-        self.balls = enumerate_balls(space)
-        centers = np.array([b.center for b in self.balls])
-        radii = np.array([b.radius for b in self.balls])
+        # Per center: each sorted distance above its left neighbour (column 0 is
+        # the center's own 0), then twice the maximum.  Row-major: center, radius.
+        srt = np.sort(space.dist, axis=1)
+        top = 2.0 * srt[:, -1:] if space.n > 1 else np.ones((1, 1))
+        keep = np.hstack([srt[:, 1:] > srt[:, :-1], np.ones_like(top, dtype=bool)])
+        centers = np.nonzero(keep)[0]
+        radii = np.hstack([srt[:, 1:], top])[keep]
+        self.balls = [Ball(center=c, radius=r) for c, r in zip(centers.tolist(), radii.tolist())]
         self.centers = centers
         self.radii = radii
         self.member = self.dilated(1.0)
@@ -328,7 +311,8 @@ def dilate_ball(ball: Ball, lam: float) -> Ball:
 
 def whole_space_ball(space: QuasiMetricSpace) -> Ball:
     """The canonical ball at center 0 whose member set is the whole space."""
-    return Ball(center=0, radius=float(canonical_radii(space, 0)[-1]))
+    tbl = ball_table(space)
+    return tbl.balls[int(np.searchsorted(tbl.centers, 0, side="right")) - 1]
 
 
 def check_engulfing(space: QuasiMetricSpace, profile: SpaceProfile) -> list[tuple[Ball, Ball]]:

@@ -3,13 +3,12 @@ from __future__ import annotations
 
 import json
 import math
-import os
 
 import numpy as np
 
 from .errors import InputError
 from .orlicz import Power, PowerLog, YoungFunction
-from .space import QuasiMetricSpace, _float_array, build_space
+from .space import QuasiMetricSpace, _float_array, _is_integer, build_space
 
 __all__ = [
     "load_json",
@@ -20,13 +19,13 @@ __all__ = [
 
 
 def load_json(path: str):
-    if not os.path.exists(path):
-        raise InputError(f"unreadable file: {path}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
+    except (OSError, ValueError) as exc:  # missing, a directory, not UTF-8, a NUL
+        raise InputError(f"unreadable file: {path} ({exc})") from exc
 
 
 def parse_space(obj) -> QuasiMetricSpace:
@@ -64,15 +63,17 @@ def parse_weight(obj, space: QuasiMetricSpace) -> np.ndarray:
     if kind == "power":
         try:
             alpha = float(obj["alpha"])
-            center = int(obj["center"])
+            center = obj["center"]
             offset = float(obj.get("offset", 0.0))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError("power weight needs numeric 'alpha', 'center' (and 'offset')") from exc
+        if not _is_integer(center):
+            raise InputError(f"power weight 'center' must be an integer, got {center!r}")
         if not 0 <= center < space.n:
             raise InputError(f"power weight center {center} out of range")
         if alpha < 0 and offset <= 0:
             raise InputError("power weight with alpha < 0 requires offset > 0")
-        return (space.dist[center] + offset) ** alpha
+        return (space.dist[int(center)] + offset) ** alpha
     raise InputError(f"unknown weight type {kind!r}; expected 'array' or 'power'")
 
 
@@ -107,7 +108,7 @@ def parse_phi(obj) -> YoungFunction:
 def _num(obj: dict, key: str) -> float:
     try:
         return float(obj[key])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"Young function spec requires numeric field {key!r}") from exc
 
 

@@ -12,15 +12,15 @@ from shtlab.space import (
     SpaceProfile,
     ball_mask,
     ball_members,
+    ball_table,
     build_space,
-    canonical_radii,
     check_dilation_bounds,
     check_engulfing,
     dilate_ball,
-    enumerate_balls,
     space_profile,
     whole_space_ball,
 )
+from shtlab.suite import default_manifest
 
 
 # ---------------------------------------------------------------- oracles
@@ -137,6 +137,27 @@ def test_profile_matches_oracles_on_random_spaces():
         assert prof.c_mu == pytest.approx(oracle_doubling(sp), rel=1e-12)
 
 
+def per_center_c_mu(space):
+    """The doubling constant as one bool-matrix @ mass product per center."""
+    c_mu = 1.0
+    for x in range(space.n):
+        row = space.dist[x]
+        pos = np.unique(row[row > 0])
+        radii = np.append(pos, 2.0 * pos[-1]) if pos.size else np.array([1.0])
+        inner = (row[None, :] < radii[:, None]) @ space.mass
+        outer = (row[None, :] < 2.0 * radii[:, None]) @ space.mass
+        c_mu = max(c_mu, float(np.max(outer / inner)))
+    return c_mu
+
+
+def test_doubling_constant_matches_per_center_products():
+    # Bit for bit: the level base a = ceil(...) of a cz item reads c_mu, so an
+    # ulp here can change a report.
+    for item in default_manifest(20260810, 0, 400, 0)["cz"]:
+        sp = build_space(item["space"])
+        assert space_profile(sp).c_mu == per_center_c_mu(sp), item["name"]
+
+
 def test_kappa_certifies_quasitriangle():
     rng = np.random.default_rng(5)
     for _ in range(5):
@@ -178,30 +199,33 @@ def test_ball_requires_positive_radius(line4):
 def test_enumerate_balls_counts(line4, two_point, one_point):
     # One ball per distinct achievable member set.  On the 4-point line the
     # middle centers realize only sets of 1, 3 and 4 points, so 4+3+3+4 = 14.
-    assert len(enumerate_balls(line4)) == 14
-    assert len(enumerate_balls(one_point)) == 1
-    balls2 = enumerate_balls(two_point)
+    assert len(ball_table(line4).balls) == 14
+    assert ball_table(one_point).balls == [Ball(0, 1.0)]
+    balls2 = ball_table(two_point).balls
     assert len(balls2) == 4
     sets = [tuple(ball_members(two_point, b)) for b in balls2]
     assert sets == [(0,), (0, 1), (1,), (0, 1)]
 
 
 def test_enumeration_is_deterministic_and_sorted(line4):
-    balls = enumerate_balls(line4)
-    assert balls == enumerate_balls(line4)
+    balls = ball_table(line4).balls
+    assert balls == ball_table(build_space({"type": "grid", "shape": [4]})).balls
     keys = [(b.center, b.radius) for b in balls]
     assert keys == sorted(keys)
+    assert all(type(b.center) is int and type(b.radius) is float for b in balls)
 
 
 def test_enumeration_covers_all_member_sets():
     rng = np.random.default_rng(23)
     for trial in range(10):
         sp = random_cloud(rng, int(rng.integers(2, 9)), dim=1 + trial % 2)
+        tbl = ball_table(sp)
         for x in range(sp.n):
-            canon = {tuple(np.nonzero(sp.dist[x] < r)[0]) for r in canonical_radii(sp, x)}
+            rows = np.nonzero(tbl.centers == x)[0]
+            canon = {tuple(np.nonzero(tbl.member[b])[0]) for b in rows}
             dense = {tuple(np.nonzero(sp.dist[x] < r)[0]) for r in dense_radii(sp, x)}
             assert dense <= canon
-            assert len(canon) == len(canonical_radii(sp, x))  # no duplicates
+            assert len(canon) == len(rows)  # no duplicates
 
 
 def test_dilate_ball(line4):
@@ -234,7 +258,7 @@ def test_engulfing_clean_on_random_spaces():
 def test_engulfing_violations_match_brute_force(line4):
     # engulf = 1 is too small on the line: a neighbour's ball escapes B_2
     prof = SpaceProfile(kappa=1.0, c_mu=3.0, d_mu=math.log2(3.0), engulf=1.0)
-    balls = enumerate_balls(line4)
+    balls = ball_table(line4).balls
     expected = []
     for b2 in balls:
         target = ball_mask(line4, dilate_ball(b2, prof.engulf))

@@ -1,12 +1,15 @@
+import contextlib
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shtlab.cli import main
 from shtlab.errors import InputError
 from shtlab.orlicz import Power, PowerLog
-from shtlab.space import Ball
+from shtlab.space import Ball, build_space
 from shtlab.specio import parse_phi, parse_space, parse_weight
 
 
@@ -45,6 +48,11 @@ def test_parse_weight_forms(line4):
         parse_weight(["x", 1, 1, 1], line4)
     with pytest.raises(InputError, match="offset"):
         parse_weight({"type": "power", "alpha": 1.0, "center": 0, "offset": "x"}, line4)
+    w = parse_weight({"type": "power", "alpha": 1.0, "center": 2.0, "offset": 1.0}, line4)
+    assert np.array_equal(w, [3.0, 2.0, 1.0, 2.0])
+    for center in (2.5, True, "2", math.inf):
+        with pytest.raises(InputError, match="center"):
+            parse_weight({"type": "power", "alpha": 1.0, "center": center, "offset": 1.0}, line4)
 
 
 def test_parse_space_rejects_bad_spec():
@@ -62,6 +70,70 @@ def test_parse_space_rejects_bad_spec():
             parse_space({"type": "explicit", "dist": dist, "mass": [1, 1]})
     with pytest.raises(InputError, match="mass"):
         parse_space({"type": "explicit", "dist": [[0, 1], [1, 0]], "mass": "x"})
+
+
+# JSON values for the parser property, kept small so that no parse allocates
+# much: lists hold at most 5 entries, and grid shapes draw from a fixed list.
+_WORDS = ["", "a", "2", "uniform", "l1", "l2", "linf", "grid", "explicit", "array",
+          "power", "powerlog", "power:2", "powerlog:2:1", "power:x"]
+_SCALARS = (
+    st.none() | st.booleans() | st.integers(-3, 5) | st.just(10**400) | st.floats()
+    | st.sampled_from(_WORDS)
+)
+_FIELDS = ["type", "dist", "mass", "metric", "values", "alpha", "center", "offset",
+           "family", "s", "a"]
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.sampled_from(_FIELDS), inner, max_size=5),
+    max_leaves=20,
+)
+_VECTOR = st.lists(_SCALARS, max_size=5)
+_SHAPE = st.lists(st.sampled_from([-1, 0, 1, 2, 2.5, 3, True, None, "a", math.inf, math.nan]),
+                  max_size=5)
+_SPACES = _JSON | st.fixed_dictionaries(
+    {"type": st.sampled_from(["grid", "explicit", "sphere"])},
+    optional={"shape": _SHAPE, "metric": _SCALARS, "mass": _VECTOR | _SCALARS,
+              "dist": st.lists(_VECTOR, max_size=5) | _JSON},
+)
+_WEIGHTS = _JSON | _VECTOR | st.fixed_dictionaries(
+    {"type": st.sampled_from(["array", "power", "log"])},
+    optional={"values": _VECTOR | _SCALARS, "alpha": _SCALARS, "center": _SCALARS,
+              "offset": _SCALARS},
+)
+_PHIS = (
+    _JSON
+    | st.builds(str.__add__, st.sampled_from(["power:", "powerlog:", "powerlog:2:"]),
+                st.text(max_size=6))
+    | st.fixed_dictionaries(
+        {"family": st.sampled_from(["power", "powerlog", "exp"])},
+        optional={"s": _SCALARS, "a": _SCALARS},
+    )
+)
+# file names relative to a scratch directory; "/" is left out so that no draw
+# leaves it
+_PATHS = st.sampled_from([".", "drawn.json", "not-utf8.json", "missing.json"]) | st.text(
+    st.characters(blacklist_characters="/"), max_size=6
+)
+
+
+@pytest.fixture(scope="module")
+def spec_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("specs")
+    (root / "not-utf8.json").write_bytes(b"\xff\xfe{\x00}\x00")
+    return root
+
+
+@given(space=_SPACES, weight=_WEIGHTS, phi=_PHIS, path=_PATHS)
+@settings(max_examples=300, deadline=None)
+def test_parsers_raise_only_input_error(spec_dir, space, weight, phi, path):
+    line4 = build_space({"type": "grid", "shape": [4]})
+    parsers = [(parse_space, space), (lambda o: parse_weight(o, line4), weight), (parse_phi, phi)]
+    for parse, obj in parsers:
+        (spec_dir / "drawn.json").write_text(json.dumps(obj))
+        for arg in (obj, str(spec_dir / path)):
+            with contextlib.suppress(InputError):
+                parse(arg)
 
 
 # ------------------------------------------------------------ CLI plumbing
@@ -178,6 +250,15 @@ def test_missing_file_exits_2(files, capsys):
     assert code == 2
 
 
+def test_unreadable_spec_exits_2(files, capsys):
+    not_utf8 = files["dir"] / "not-utf8.json"
+    not_utf8.write_bytes(b"\xff\xfe{\x00}\x00")
+    for path in (".", str(files["dir"]), str(not_utf8)):
+        assert main(["profile", "--space", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"unreadable file: {path}" in captured.err
+
+
 def test_malformed_spec_exits_2(files, capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"type": "explicit", "dist": [[0, 1], [1, 0]], "mass": [1, 0]}')
@@ -188,6 +269,10 @@ def test_malformed_spec_exits_2(files, capsys, tmp_path):
     bad.write_text('{"type": "grid", "shape": ["a"]}')
     code, _ = run_cli(["profile", "--space", str(bad)], capsys)
     assert code == 2
+    bad.write_text('{"type": "power", "alpha": 1, "center": Infinity, "offset": 1}')
+    assert main(["cz", "--space", files["space"], "--f", str(bad), "--lambda", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "center" in captured.err
 
 
 @pytest.mark.parametrize(

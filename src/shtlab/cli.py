@@ -76,6 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()  # parse_args leaves it unchanged, so main reuses it
+
+
 def _emit(obj, args, csv_rows=None) -> None:
     if args.format == "csv":
         if csv_rows is None:
@@ -221,9 +224,8 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -202,7 +202,8 @@ class NumericConjugate(YoungFunction):
     """Legendre conjugate of a smooth Young function.
 
     Phibar(t) = u*t - Phi(u*) at the stationary point Phi'(u*) = t; the
-    derivative is increasing, so the solve is a guarded log-bisection.
+    derivative is increasing, so the solve is a guarded log-bisection.  The
+    inverse solves u*Phi'(u) - Phi(u) = y instead, which needs no argmax.
     """
 
     base: YoungFunction
@@ -232,20 +233,19 @@ class NumericConjugate(YoungFunction):
         # envelope: d/dt sup_u (u t - Phi(u)) = argmax u
         return _positive_part(self._argmax, t)
 
+    def _inverse(self, y):
+        # Phibar(Phi'(u)) = u Phi'(u) - Phi(u) increases in u, so Phibar^{-1}(y)
+        # is Phi'(u) at the root of u Phi'(u) - Phi(u) = y: one bisection,
+        # with no Legendre argmax nested in it
+        base = self.base
+        u = _bisect_increasing(lambda v: v * base.derivative(v) - base(v), y, np.sqrt(y))
+        return base.derivative(u)
+
     def inverse(self, y):
-        return _positive_part(
-            lambda yp: _bisect_increasing(self, yp, np.sqrt(yp)), y
-        )
+        return _positive_part(self._inverse, y)
 
     def conjugate(self) -> YoungFunction:
         return self.base
-
-
-def _root_bracket(phi: YoungFunction, maxf, mu_ratio: float):
-    """Rigorous log-space bracket for the Luxemburg root, given max_B f."""
-    inv_one = float(np.asarray(phi.inverse(1.0)))
-    inv_big = float(np.asarray(phi.inverse(mu_ratio)))
-    return np.log(maxf / inv_big), np.log(maxf / inv_one)
 
 
 def _norms_core(member, weighted, mu, mass, fmat, phi):
@@ -253,11 +253,18 @@ def _norms_core(member, weighted, mu, mass, fmat, phi):
 
     member : (m, n) bool, weighted = member*mass : (m, n), mu : (m,).
     Returns (k, m).  Rows/balls where f vanishes get norm 0.
+
+    A root depends only on the restricted row f*chi_B and on mu(B): off B,
+    ``weighted`` multiplies Phi(0) = 0.  So each distinct active pair of a
+    chunk is solved once and its root scattered back; every solve is
+    elementwise, so the roots are the bits a solve per pair would give.
     """
     k = fmat.shape[0]
     m = member.shape[0]
     out = np.zeros((k, m))
-    mu_ratio = float(mu.max() / mass.min())
+    # the module docstring's bracket, M / inv_big <= norm <= M / inv_one
+    inv_big = float(np.asarray(phi.inverse(float(mu.max() / mass.min()))))
+    inv_one = float(np.asarray(phi.inverse(1.0)))
     chunk = rows_per_chunk(member.size)  # bounds the (k, m, n) workspace
     for start in range(0, k, chunk):
         rows = slice(start, min(start + chunk, k))
@@ -267,10 +274,17 @@ def _norms_core(member, weighted, mu, mass, fmat, phi):
         if not act.any():
             continue
         kk, bb = np.nonzero(act)
-        fa = fx[kk, bb]          # (na, n) active restricted functions
-        wa = weighted[bb]        # (na, n)
-        mua = mu[bb]             # (na,)
-        xlo, xhi = _root_bracket(phi, mx[kk, bb], mu_ratio)
+        keys = np.column_stack([fx[kk, bb], mu[bb]])
+        # one opaque bytes item per row: sorting compares by memcmp, far
+        # cheaper than np.unique(axis=0) on float fields
+        keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+        _, first, back = np.unique(keys, return_index=True, return_inverse=True)
+        uk, ub = kk[first], bb[first]
+        fa = fx[uk, ub]          # (nu, n) distinct active restricted functions
+        wa = weighted[ub]        # (nu, n)
+        mua = mu[ub]             # (nu,)
+        maxf = mx[uk, ub]
+        xlo, xhi = np.log(maxf / inv_big), np.log(maxf / inv_one)
 
         def log_gap(x):
             lam = np.exp(x)
@@ -279,7 +293,7 @@ def _norms_core(member, weighted, mu, mass, fmat, phi):
 
         root = np.exp(_illinois(log_gap, xlo, xhi))
         buf = np.zeros((rows.stop - rows.start, m))
-        buf[kk, bb] = root
+        buf[kk, bb] = root[back]
         out[rows] = buf
     return out
 

@@ -250,7 +250,9 @@ class BallTable:
     """
 
     def __init__(self, space: QuasiMetricSpace):
-        self.space = space
+        # dist, not the space: the space caches its table, and that cycle
+        # would keep both alive until the collector's next full pass
+        self.dist = space.dist
         # Per center: each sorted distance above its left neighbour (column 0 is
         # the center's own 0), then twice the maximum.  Row-major: center, radius.
         srt = np.sort(space.dist, axis=1)
@@ -272,7 +274,7 @@ class BallTable:
 
     def dilated(self, lam: float) -> np.ndarray:
         """Membership (m, n) of every dilate lam*B: dist < lam * r(B)."""
-        return self.space.dist[self.centers] < (lam * self.radii)[:, None]
+        return self.dist[self.centers] < (lam * self.radii)[:, None]
 
     def averages(self, f: np.ndarray) -> np.ndarray:
         """Ball averages (1/mu(B)) * sum_B f dmu for all canonical balls."""
@@ -287,13 +289,14 @@ class BallTable:
         """
         per_ball = np.asarray(per_ball, dtype=float)
         rows = per_ball.reshape(-1, self.m)
-        out = np.empty((rows.shape[0], self.space.n))
+        n = self.dist.shape[0]
+        out = np.empty((rows.shape[0], n))
         chunk = rows_per_chunk(self.member.size)
         for start in range(0, rows.shape[0], chunk):
             block = rows[start:start + chunk]
             masked = np.where(self.member, block[:, :, None], -np.inf)
             out[start:start + chunk] = masked.max(axis=1)
-        return out.reshape(per_ball.shape[:-1] + (self.space.n,))
+        return out.reshape(per_ball.shape[:-1] + (n,))
 
 
 def ball_table(space: QuasiMetricSpace) -> BallTable:

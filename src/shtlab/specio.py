@@ -38,10 +38,12 @@ def _as_array(values, n: int, what: str) -> np.ndarray:
     arr = _float_array(values, what)
     if arr.shape != (n,):
         raise InputError(f"{what} must be a length-{n} array, got shape {arr.shape}")
-    if np.any(np.isnan(arr)):
-        raise InputError(f"{what} contains NaN")
-    if np.any(arr < 0):
-        raise InputError(f"{what} contains a negative value")
+    bad = np.flatnonzero(~np.isfinite(arr) | (arr < 0))
+    if bad.size:
+        i = int(bad[0])
+        kind = ("NaN" if np.isnan(arr[i]) else "an infinite value" if np.isinf(arr[i])
+                else "a negative value")
+        raise InputError(f"{what} contains {kind} at index {i}")
     return arr
 
 
@@ -49,7 +51,8 @@ def parse_weight(obj, space: QuasiMetricSpace) -> np.ndarray:
     """Weight spec: raw array, {"type": "array", ...} or {"type": "power", ...}.
 
     The power form is w[y] = (dist[center][y] + offset)**alpha with a strictly
-    positive offset required when alpha < 0.  Function vectors parse alike.
+    positive offset required when alpha < 0, and dist + offset >= 0 when alpha
+    is not an integer.  Function vectors parse alike.
     """
     if isinstance(obj, str):
         obj = load_json(obj)
@@ -73,7 +76,16 @@ def parse_weight(obj, space: QuasiMetricSpace) -> np.ndarray:
             raise InputError(f"power weight center {center} out of range")
         if alpha < 0 and offset <= 0:
             raise InputError("power weight with alpha < 0 requires offset > 0")
-        return (space.dist[int(center)] + offset) ** alpha
+        base = space.dist[int(center)] + offset
+        neg = np.flatnonzero(base < 0)
+        if neg.size and not alpha.is_integer():
+            raise InputError(
+                f"power weight with non-integer alpha {alpha} needs dist + offset >= 0; "
+                f"offset {offset} gives {base[neg[0]]} at index {neg[0]}"
+            )
+        with np.errstate(over="ignore"):  # _as_array refuses the inf entries
+            w = base**alpha
+        return _as_array(w, space.n, "power weight")
     raise InputError(f"unknown weight type {kind!r}; expected 'array' or 'power'")
 
 

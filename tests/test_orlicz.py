@@ -11,6 +11,7 @@ from shtlab.orlicz import (
     NumericConjugate,
     Power,
     PowerLog,
+    YoungFunction,
     _bisect_increasing,
     alpha_p,
     luxemburg_norm,
@@ -63,6 +64,21 @@ def test_conjugate_band():
     for s in (1.5, 2.0, 4.0):
         prod = Power(s).inverse(t) * Power(s).conjugate().inverse(t)
         assert np.allclose(prod, t, rtol=1e-12)
+
+
+def test_numeric_conjugate_inverse_oracles():
+    # a = 0: Phibar(t) = c t**(s') with c = (s-1) s**(-s'), inverted in closed
+    # form; a > 0: the round trip Phibar(Phibar^{-1}(y)) = y
+    y = np.logspace(-8, 8, 161)
+    for s in (1.25, 1.5, 2.0, 3.0, 6.0):
+        sc = s / (s - 1.0)
+        c = (s - 1.0) * s ** (-sc)
+        for a in (0.0, 1.0, 2.0):
+            conj = NumericConjugate(PowerLog(s, a))
+            inv = conj.inverse(y)
+            want = (y / c) ** (1.0 / sc) if a == 0 else y
+            got = inv if a == 0 else conj(inv)
+            assert np.allclose(got, want, rtol=1e-11, atol=0), (s, a)
 
 
 def test_conjugate_of_numeric_conjugate_is_base():
@@ -213,6 +229,46 @@ def test_sweep_matches_bisection_oracle():
                 x = _bisect_increasing(constraint, 1.0, 1.0 / fb.max())
                 want[i, b] = 1.0 / x
         assert np.allclose(got, want, rtol=1e-10, atol=0)
+
+
+class CountingYoung(YoungFunction):
+    """Delegates to ``base`` and counts the elements Phi is evaluated on."""
+
+    def __init__(self, base):
+        self.base = base
+        self.elems = 0
+
+    def __call__(self, t):
+        self.elems += np.size(t)
+        return self.base(t)
+
+    def inverse(self, y):
+        return self.base.inverse(y)
+
+
+def _repeated_rows_case():
+    rng = np.random.default_rng(29)
+    sp = random_cloud(rng, 7, dim=2)
+    fmat = 10.0 ** rng.uniform(-1, 1, size=(3, 7))
+    fmat[1, [0, 4]] = 0.0
+    fmat[2] = 0.0
+    return sp, fmat
+
+
+def test_sweep_of_repeated_rows_is_tiled():
+    sp, fmat = _repeated_rows_case()
+    for phi in (Power(2.0), PowerLog(2.0, 1.0), PowerLog(2.0, 1.0).conjugate()):
+        once = luxemburg_norms_over_balls(sp, fmat, phi)
+        twice = luxemburg_norms_over_balls(sp, np.vstack([fmat, fmat]), phi)
+        assert np.array_equal(twice, np.tile(once, (2, 1)))
+
+
+def test_sweep_solves_each_distinct_pair_once():
+    sp, fmat = _repeated_rows_case()
+    once, twice = CountingYoung(PowerLog(2.0, 1.0)), CountingYoung(PowerLog(2.0, 1.0))
+    luxemburg_norms_over_balls(sp, fmat, once)
+    luxemburg_norms_over_balls(sp, np.vstack([fmat, fmat]), twice)
+    assert once.elems > 0 and twice.elems == once.elems
 
 
 # ---------------------------------------------------------------- Hoelder

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -148,6 +150,20 @@ def per_center_c_mu(space):
         outer = (row[None, :] < 2.0 * radii[:, None]) @ space.mass
         c_mu = max(c_mu, float(np.max(outer / inner)))
     return c_mu
+
+
+def test_space_with_cached_table_is_freed_without_the_collector():
+    # no reference cycle: a space and its table go as soon as the last
+    # reference does, not at the collector's next full pass
+    gc.disable()
+    try:
+        sp = build_space({"type": "grid", "shape": [6], "metric": "l1", "mass": "uniform"})
+        ball_table(sp)
+        ref = weakref.ref(sp)
+        del sp
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_doubling_constant_matches_per_center_products():

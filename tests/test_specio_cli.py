@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shtlab import cli
 from shtlab.cli import main
 from shtlab.errors import InputError
 from shtlab.orlicz import Power, PowerLog
@@ -42,7 +43,7 @@ def test_parse_weight_forms(line4):
         parse_weight({"type": "power", "alpha": -1.0, "center": 0}, line4)
     with pytest.raises(InputError, match="NaN"):
         parse_weight([1, float("nan"), 1, 1], line4)
-    with pytest.raises(InputError, match="negative"):
+    with pytest.raises(InputError, match="negative value at index 1"):
         parse_weight([1, -1, 1, 1], line4)
     with pytest.raises(InputError, match="weight values"):
         parse_weight(["x", 1, 1, 1], line4)
@@ -53,6 +54,15 @@ def test_parse_weight_forms(line4):
     for center in (2.5, True, "2", math.inf):
         with pytest.raises(InputError, match="center"):
             parse_weight({"type": "power", "alpha": 1.0, "center": center, "offset": 1.0}, line4)
+    with pytest.raises(InputError, match="offset -1.5 gives -0.5 at index 2"):
+        parse_weight({"type": "power", "alpha": 0.5, "center": 3, "offset": -1.5}, line4)
+    w = parse_weight({"type": "power", "alpha": 2.0, "center": 3, "offset": -1.5}, line4)
+    assert np.array_equal(w, [2.25, 0.25, 0.25, 2.25])
+    with pytest.raises(InputError, match="power weight contains an infinite value at index 2"):
+        parse_weight({"type": "power", "alpha": 700.0, "center": 0, "offset": 1.0}, line4)
+    for values, i in (([1, math.inf, 1, 1], 1), ([1, 1, -math.inf, 1], 2)):
+        with pytest.raises(InputError, match=f"infinite value at index {i}"):
+            parse_weight(values, line4)
 
 
 def test_parse_space_rejects_bad_spec():
@@ -238,6 +248,15 @@ def test_opnorm_command(files, capsys):
     rep = json.loads(out)
     assert rep["value"] >= (205.0 / 144.0) ** 0.5 - 1e-9
     assert rep["ordering_ok"]
+
+
+def test_main_reuses_one_parser(files, capsys, monkeypatch):
+    fresh = cli.build_parser()
+    assert fresh is not cli.build_parser() and fresh is not cli._PARSER
+    monkeypatch.setattr(cli, "build_parser", None)
+    for _ in range(2):
+        code, out = run_cli(["profile", "--space", files["space"]], capsys)
+        assert code == 0 and json.loads(out)["c_mu"] == 3.0
 
 
 def test_unknown_command_exits_2(capsys):

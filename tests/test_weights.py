@@ -214,6 +214,26 @@ def test_wp_matches_per_ball_oracle():
             )
 
 
+def test_conjugate_path_matches_power_identities():
+    # The Legendre conjugate of t**q is c * t**(q') with c = (q-1) * q**(-q'),
+    # so with q = p' the numeric-conjugate path has exact closed forms.
+    rng = np.random.default_rng(2013)
+    for p in (1.2, 1.5, 2.0, 3.0, 4.0):
+        pc = p / (p - 1.0)
+        scale = (pc - 1.0) * pc ** (-p)
+        for trial in range(2):
+            sp = random_cloud(rng, int(rng.integers(4, 8)), dim=1 + trial)
+            w = 10.0 ** rng.uniform(-1, 1, sp.n)
+            sigma = 10.0 ** rng.uniform(-1, 1, sp.n)
+            phi = PowerLog(pc, 0.0)
+            assert wp_constant(sp, sigma, p, phi.conjugate()) == pytest.approx(
+                scale * ainfty_fujii_wilson(sp, sigma), rel=1e-10
+            )
+            assert bump_ap(sp, w, sigma, p, phi) == pytest.approx(
+                two_weight_ap(sp, w, sigma, p), rel=1e-10
+            )
+
+
 def test_point_max_rows_match_single_rows(monkeypatch):
     rng = np.random.default_rng(43)
     sp = random_cloud(rng, 7, dim=2)

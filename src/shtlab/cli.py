@@ -90,8 +90,11 @@ def _emit(obj, args, csv_rows=None) -> None:
     else:
         text = json.dumps(obj, indent=2, sort_keys=True, default=_jsonable) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:  # a directory, a missing parent, no permission
+            raise InputError(f"cannot write {args.out} ({exc.strerror or exc})") from exc
     else:
         sys.stdout.write(text)
 
@@ -232,9 +235,6 @@ def main(argv=None) -> int:
         return _HANDLERS[args.command](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: unreadable file: {exc.filename}", file=sys.stderr)
         return 2
 
 

@@ -34,11 +34,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, PreconditionError
-from .maximal import as_field, hl_maximal
+from .maximal import hl_maximal
 from .space import (
     Ball,
     QuasiMetricSpace,
     SpaceProfile,
+    as_field,
     ball_mask,
     ball_table,
     dilate_ball,
@@ -91,8 +92,17 @@ def cz_config(
         eta = kappa**2 * (4.0 * kappa + 3.0)
     if not 1 < eta < math.inf:
         raise InputError(f"eta must be finite and exceed 1, got {eta}")
+    try:
+        need = required_level_base(theta, eta, profile.d_mu)
+    except OverflowError:
+        need = math.inf
+    if need == math.inf:
+        raise InputError(
+            f"level base 2*(4*theta*eta)**d_mu overflows: doubling order "
+            f"d_mu = {profile.d_mu:g}, theta = {theta:g}, eta = {eta:g}"
+        )
     if a is None:
-        a = float(math.ceil(required_level_base(theta, eta, profile.d_mu)))
+        a = float(math.ceil(need))
     if not 1 < a < math.inf:
         raise InputError(f"level base a must be finite and exceed 1, got {a}")
     return CZConfig(kappa=kappa, theta=theta, eta=eta, a=float(a), d_mu=profile.d_mu)

@@ -9,30 +9,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputError
 from .orlicz import YoungFunction, luxemburg_norms_over_balls
-from .space import Ball, QuasiMetricSpace, ball_mask, ball_table
+from .space import Ball, QuasiMetricSpace, as_field, ball_mask, ball_table
 
 __all__ = [
-    "as_field",
     "hl_maximal",
     "restricted_maximal",
     "restricted_maximal_table",
     "orlicz_maximal",
 ]
-
-
-def as_field(space: QuasiMetricSpace, values) -> np.ndarray:
-    """Validate a nonnegative function vector against the space."""
-    f = np.asarray(values, dtype=float)
-    if f.shape != (space.n,):
-        raise InputError(f"field vector must have length {space.n}, got shape {f.shape}")
-    if not np.all(np.isfinite(f)):
-        raise InputError("field vector must be finite")
-    if np.any(f < 0):
-        i = int(np.argwhere(f < 0)[0][0])
-        raise InputError(f"negative field value at index {i}")
-    return f
 
 
 def hl_maximal(space: QuasiMetricSpace, f) -> np.ndarray:

@@ -36,7 +36,7 @@ import numpy as np
 from scipy import integrate, special
 
 from .errors import InputError
-from .space import Ball, QuasiMetricSpace, ball_mask, ball_table, rows_per_chunk
+from .space import Ball, QuasiMetricSpace, as_field, ball_mask, ball_table, rows_per_chunk
 
 __all__ = [
     "YoungFunction",
@@ -64,14 +64,12 @@ def p_conjugate(p: float) -> float:
     return p / (p - 1.0)
 
 
-def _bisect_increasing(
-    g, y, x0, expand: float = 4.0, steps: int | None = None
-):
+def _bisect_increasing(g, y, x0, steps: int | None = None):
     """Vectorized inverse of an increasing positive function on (0, inf).
 
     Solves g(x) = y for y > 0 elementwise, bracketing around the initial
-    guess x0 by repeated scaling by ``expand``, then bisecting in log(x)
-    until the bracket is REL_TOL wide, or for exactly ``steps`` steps.
+    guess x0 by repeated scaling by 16, then bisecting in log(x) until the
+    bracket is REL_TOL wide, or for exactly ``steps`` steps.
     """
     y = np.asarray(y, dtype=float)
     lo = np.array(x0, dtype=float, copy=True)
@@ -80,12 +78,12 @@ def _bisect_increasing(
         need = g(lo) > y
         if not need.any():
             break
-        lo = np.where(need, lo / expand, lo)
+        lo = np.where(need, lo / 16.0, lo)
     for _ in range(BRACKET_ITER):
         need = g(hi) < y
         if not need.any():
             break
-        hi = np.where(need, hi * expand, hi)
+        hi = np.where(need, hi * 16.0, hi)
     xlo, xhi = np.log(lo), np.log(hi)
     for _ in range(MAX_ITER if steps is None else steps):
         if steps is None and np.max(xhi - xlo) <= REL_TOL:
@@ -133,8 +131,8 @@ class Power(YoungFunction):
     s: float
 
     def __post_init__(self):
-        if self.s < 1:
-            raise InputError(f"power exponent must be >= 1, got {self.s}")
+        if not 1 <= self.s < math.inf:
+            raise InputError(f"power exponent must satisfy 1 <= s < inf, got {self.s}")
 
     @property
     def label(self):
@@ -163,10 +161,10 @@ class PowerLog(YoungFunction):
     a: float
 
     def __post_init__(self):
-        if self.s < 1:
-            raise InputError(f"power-log exponent must be >= 1, got {self.s}")
-        if self.a < 0:
-            raise InputError(f"power-log log-exponent must be >= 0, got {self.a}")
+        if not 1 <= self.s < math.inf:
+            raise InputError(f"power-log exponent must satisfy 1 <= s < inf, got {self.s}")
+        if not 0 <= self.a < math.inf:
+            raise InputError(f"power-log log-exponent must satisfy 0 <= a < inf, got {self.a}")
 
     @property
     def label(self):
@@ -199,14 +197,15 @@ class PowerLog(YoungFunction):
 
 @dataclass(frozen=True, repr=False)
 class NumericConjugate(YoungFunction):
-    """Legendre conjugate of a smooth Young function.
+    """Legendre conjugate of a power-log Young function.
 
     Phibar(t) = u*t - Phi(u*) at the stationary point Phi'(u*) = t; the
-    derivative is increasing, so the solve is a guarded log-bisection.  The
-    inverse solves u*Phi'(u) - Phi(u) = y instead, which needs no argmax.
+    derivative is increasing, so the solve is a log-bisection seeded by
+    ``PowerLog.derivative_root_guess``.  The inverse solves
+    u*Phi'(u) - Phi(u) = y instead, which needs no argmax.
     """
 
-    base: YoungFunction
+    base: PowerLog
 
     @property
     def label(self):
@@ -215,11 +214,8 @@ class NumericConjugate(YoungFunction):
     def _argmax(self, t):
         """Solve base'(u) = t elementwise (t > 0 assumed)."""
         base = self.base
-        guess = getattr(base, "derivative_root_guess", None)
-        u0 = np.asarray(guess(t) if guess is not None else base.inverse(t), dtype=float)
-        u0 = np.where(u0 > 0, u0, 1.0)
         return _bisect_increasing(
-            base.derivative, t, u0, expand=16.0, steps=LEGENDRE_ITER
+            base.derivative, t, base.derivative_root_guess(t), steps=LEGENDRE_ITER
         )
 
     def _value(self, t):
@@ -262,8 +258,15 @@ def _norms_core(member, weighted, mu, mass, fmat, phi):
     k = fmat.shape[0]
     m = member.shape[0]
     out = np.zeros((k, m))
-    # the module docstring's bracket, M / inv_big <= norm <= M / inv_one
-    inv_big = float(np.asarray(phi.inverse(float(mu.max() / mass.min()))))
+    # the module docstring's bracket, M / inv_big <= norm <= M / inv_one; a
+    # Python float division overflows to inf without a warning
+    ratio = float(mu.max()) / float(mass.min())
+    if ratio == math.inf:
+        raise InputError(
+            f"mass ratio mu_max/mass_min = {mu.max():g}/{mass.min():g} overflows, "
+            f"so no Luxemburg norm can be bracketed"
+        )
+    inv_big = float(np.asarray(phi.inverse(ratio)))
     inv_one = float(np.asarray(phi.inverse(1.0)))
     chunk = rows_per_chunk(member.size)  # bounds the (k, m, n) workspace
     for start in range(0, k, chunk):
@@ -337,11 +340,7 @@ def luxemburg_norm(
     phi: YoungFunction,
 ) -> float:
     """Local Luxemburg norm of a nonnegative function over one ball."""
-    f = np.asarray(f, dtype=float)
-    if f.shape != (space.n,):
-        raise InputError(f"function vector must have length {space.n}")
-    if np.any(f < 0) or not np.all(np.isfinite(f)):
-        raise InputError("luxemburg_norm expects finite nonnegative values")
+    f = as_field(space, f)
     member = ball_mask(space, ball)[None, :]
     weighted = member * space.mass[None, :]
     mu = weighted.sum(axis=1)

@@ -23,6 +23,7 @@ by candidates at the next distance value.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,7 @@ __all__ = [
     "SpaceProfile",
     "QuasiMetricSpace",
     "BallTable",
+    "as_field",
     "build_space",
     "space_profile",
     "ball_table",
@@ -60,7 +62,7 @@ def _float_array(values, what: str) -> np.ndarray:
     try:
         return np.asarray(values, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"{what} must be an array of numbers") from exc
+        raise InputError(f"{what} must be an array of numbers ({exc})") from exc
 
 
 def _is_integer(value) -> bool:
@@ -147,6 +149,21 @@ class QuasiMetricSpace:
         return f"QuasiMetricSpace(n={self.n}, total_mass={self.total_mass:g})"
 
 
+def as_field(space: QuasiMetricSpace, values, what: str = "field") -> np.ndarray:
+    """The one validator of vectors on a space: a length-n array of finite,
+    nonnegative floats.  The error names ``what`` and the first bad entry."""
+    arr = _float_array(values, what)
+    if arr.shape != (space.n,):
+        raise InputError(f"{what} must be a length-{space.n} array, got shape {arr.shape}")
+    bad = np.flatnonzero(~np.isfinite(arr) | (arr < 0))
+    if bad.size:
+        i = int(bad[0])
+        kind = ("NaN" if np.isnan(arr[i]) else "an infinite value" if np.isinf(arr[i])
+                else "a negative value")
+        raise InputError(f"{what} contains {kind} at index {i}")
+    return arr
+
+
 def _grid_coordinates(shape):
     if len(shape) == 1:
         return np.arange(shape[0], dtype=float)[:, None]
@@ -179,7 +196,13 @@ def build_space(spec: dict) -> QuasiMetricSpace:
             raise InputError("grid space spec requires a nonempty 'shape' list")
         if not all(_is_integer(s) and s >= 1 for s in shape):
             raise InputError(f"grid 'shape' entries must be positive integers, got {shape}")
-        coords = _grid_coordinates(tuple(int(s) for s in shape))
+        dims = tuple(int(s) for s in shape)
+        if math.prod(dims) ** 2 * len(dims) > WORKSPACE_ELEMENTS:  # exact Python ints
+            raise InputError(
+                f"grid 'shape' {shape} is too large: its (n, n, {len(dims)}) difference "
+                f"array would exceed {WORKSPACE_ELEMENTS} elements"
+            )
+        coords = _grid_coordinates(dims)
         metric = spec.get("metric", "l1")
         if not isinstance(metric, str) or metric not in _METRIC_ORDERS:
             raise InputError(f"unknown metric {metric!r}; expected l1, l2 or linf")

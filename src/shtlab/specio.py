@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import InputError
 from .orlicz import Power, PowerLog, YoungFunction
-from .space import QuasiMetricSpace, _float_array, _is_integer, build_space
+from .space import QuasiMetricSpace, _is_integer, as_field, build_space
 
 __all__ = [
     "load_json",
@@ -34,19 +34,6 @@ def parse_space(obj) -> QuasiMetricSpace:
     return build_space(obj)
 
 
-def _as_array(values, n: int, what: str) -> np.ndarray:
-    arr = _float_array(values, what)
-    if arr.shape != (n,):
-        raise InputError(f"{what} must be a length-{n} array, got shape {arr.shape}")
-    bad = np.flatnonzero(~np.isfinite(arr) | (arr < 0))
-    if bad.size:
-        i = int(bad[0])
-        kind = ("NaN" if np.isnan(arr[i]) else "an infinite value" if np.isinf(arr[i])
-                else "a negative value")
-        raise InputError(f"{what} contains {kind} at index {i}")
-    return arr
-
-
 def parse_weight(obj, space: QuasiMetricSpace) -> np.ndarray:
     """Weight spec: raw array, {"type": "array", ...} or {"type": "power", ...}.
 
@@ -57,12 +44,12 @@ def parse_weight(obj, space: QuasiMetricSpace) -> np.ndarray:
     if isinstance(obj, str):
         obj = load_json(obj)
     if isinstance(obj, list):
-        return _as_array(obj, space.n, "weight values")
+        return as_field(space, obj, "weight values")
     if not isinstance(obj, dict):
         raise InputError("weight spec must be an array or a JSON object")
     kind = obj.get("type")
     if kind == "array":
-        return _as_array(obj.get("values"), space.n, "weight values")
+        return as_field(space, obj.get("values"), "weight values")
     if kind == "power":
         try:
             alpha = float(obj["alpha"])
@@ -83,9 +70,9 @@ def parse_weight(obj, space: QuasiMetricSpace) -> np.ndarray:
                 f"power weight with non-integer alpha {alpha} needs dist + offset >= 0; "
                 f"offset {offset} gives {base[neg[0]]} at index {neg[0]}"
             )
-        with np.errstate(over="ignore"):  # _as_array refuses the inf entries
+        with np.errstate(over="ignore"):  # as_field refuses the inf entries
             w = base**alpha
-        return _as_array(w, space.n, "power weight")
+        return as_field(space, w, "power weight")
     raise InputError(f"unknown weight type {kind!r}; expected 'array' or 'power'")
 
 
@@ -133,6 +120,4 @@ def _make_power(s: float) -> Power:
 def _make_powerlog(s: float, a: float) -> PowerLog:
     if not (1.0 < s < math.inf):
         raise InputError(f"power-log exponent must satisfy s > 1, got {s}")
-    if not (0.0 <= a < math.inf):
-        raise InputError(f"power-log log-exponent must satisfy a >= 0, got {a}")
-    return PowerLog(s, a)
+    return PowerLog(s, a)  # which refuses a outside [0, inf)

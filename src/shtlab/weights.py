@@ -6,10 +6,13 @@ the canonical family.  Conventions:
 * suprema skip balls where the normalizing weight vanishes (0/0 := 0);
 * the one-weight A_p and the exponential A_infty constant demand a strictly
   positive weight, since they involve w**(-1/(p-1)) or log(1/w);
-* two-weight constants accept weights with zeros.
+* two-weight constants accept weights with zeros;
+* a constant that overflows to inf or NaN raises InputError naming itself.
 """
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +24,7 @@ from .orlicz import (
     luxemburg_norms_over_balls,
     p_conjugate,
 )
-from .space import QuasiMetricSpace, ball_table
+from .space import QuasiMetricSpace, as_field, ball_table
 
 __all__ = [
     "as_weight",
@@ -38,20 +41,31 @@ __all__ = [
 
 
 def as_weight(space: QuasiMetricSpace, values) -> np.ndarray:
-    """Validate a weight: finite, nonnegative, not identically zero."""
-    w = np.asarray(values, dtype=float)
-    if w.shape != (space.n,):
-        raise InputError(f"weight vector must have length {space.n}, got shape {w.shape}")
-    if not np.all(np.isfinite(w)):
-        raise InputError("weight vector must be finite")
-    if np.any(w < 0):
-        i = int(np.argwhere(w < 0)[0][0])
-        raise InputError(f"negative weight at index {i}")
+    """A field (see ``space.as_field``) with some strictly positive entry."""
+    w = as_field(space, values, "weight")
     if not np.any(w > 0):
-        raise InputError("weight vector must have a strictly positive entry")
+        raise InputError("weight must have a strictly positive entry")
     return w
 
 
+def _finite(constant):
+    """Wrap a weight constant: its value, or an InputError naming it when
+    overflow made the value inf or NaN."""
+
+    @functools.wraps(constant)
+    def checked(*args, **kwargs):
+        with np.errstate(over="ignore", invalid="ignore"):  # judged below
+            value = constant(*args, **kwargs)
+        if not math.isfinite(value):
+            raise InputError(
+                f"{constant.__name__} is {value}: the weights overflow double precision"
+            )
+        return value
+
+    return checked
+
+
+@_finite
 def ap_constant(space: QuasiMetricSpace, w, p: float) -> float:
     """sup_B (avg_B w) * (avg_B w**(-1/(p-1)))**(p-1)."""
     w = as_weight(space, w)
@@ -64,6 +78,7 @@ def ap_constant(space: QuasiMetricSpace, w, p: float) -> float:
     return float(np.max(lead * dual ** (p - 1.0)))
 
 
+@_finite
 def two_weight_ap(space: QuasiMetricSpace, w, sigma, p: float) -> float:
     """sup_B (avg_B w) * (avg_B sigma)**(p-1)."""
     w = as_weight(space, w)
@@ -73,6 +88,7 @@ def two_weight_ap(space: QuasiMetricSpace, w, sigma, p: float) -> float:
     return float(np.max(tbl.averages(w) * tbl.averages(sigma) ** (p - 1.0)))
 
 
+@_finite
 def ainfty_fujii_wilson(space: QuasiMetricSpace, w) -> float:
     """Fujii-Wilson constant: sup_B (1/w(B)) * sum_B M(w*chi_B) dmu."""
     w = as_weight(space, w)
@@ -84,6 +100,7 @@ def ainfty_fujii_wilson(space: QuasiMetricSpace, w) -> float:
     return float(np.max(totals[live] / wb[live]))
 
 
+@_finite
 def ainfty_exp(space: QuasiMetricSpace, w) -> float:
     """Exponential A_infty constant: sup_B (avg_B w) * exp(avg_B log(1/w))."""
     w = as_weight(space, w)
@@ -93,6 +110,7 @@ def ainfty_exp(space: QuasiMetricSpace, w) -> float:
     return float(np.max(tbl.averages(w) * np.exp(-tbl.averages(np.log(w)))))
 
 
+@_finite
 def bump_ap(
     space: QuasiMetricSpace,
     w,
@@ -109,6 +127,7 @@ def bump_ap(
     return float(np.max(tbl.averages(w) * norms**p))
 
 
+@_finite
 def wp_constant(
     space: QuasiMetricSpace,
     sigma,
@@ -134,6 +153,7 @@ def wp_constant(
     return float(np.max(totals / sb[live]))
 
 
+@_finite
 def sawyer_constant(space: QuasiMetricSpace, w, sigma, p: float) -> float:
     """Sawyer testing constant over balls.
 

@@ -14,7 +14,7 @@ from shtlab.czdecomp import (
 )
 from shtlab.errors import InputError, PreconditionError
 from shtlab.maximal import hl_maximal
-from shtlab.space import QuasiMetricSpace, ball_mask, space_profile, whole_space_ball
+from shtlab.space import QuasiMetricSpace, SpaceProfile, ball_mask, space_profile, whole_space_ball
 from shtlab.specio import parse_space, parse_weight
 from shtlab.suite import default_manifest
 
@@ -38,6 +38,14 @@ def test_config_rejects_bad_overrides(line4):
         line4_config(line4, eta=1.0)
     with pytest.raises(InputError):
         line4_config(line4, a=1.0)
+
+
+@pytest.mark.parametrize("d_mu", [700.0, math.inf])
+def test_config_rejects_an_overflowing_level_base(d_mu):
+    profile = SpaceProfile(kappa=1.0, c_mu=2.0**d_mu, d_mu=d_mu, engulf=3.0)
+    for a in (None, 4.0):
+        with pytest.raises(InputError, match=f"overflows: doubling order d_mu = {d_mu:g}"):
+            cz_config(profile, a=a)
 
 
 def test_required_level_base_monotone():

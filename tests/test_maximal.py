@@ -52,7 +52,7 @@ def test_matches_oracle_on_random_spaces():
 
 
 def test_negative_field_rejected(line4):
-    with pytest.raises(InputError, match="negative field value at index 2"):
+    with pytest.raises(InputError, match="field contains a negative value at index 2"):
         hl_maximal(line4, np.array([1.0, 1.0, -1.0, 1.0]))
 
 

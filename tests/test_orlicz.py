@@ -18,7 +18,7 @@ from shtlab.orlicz import (
     luxemburg_norms_over_balls,
     p_conjugate,
 )
-from shtlab.space import Ball, ball_mask, ball_table, whole_space_ball
+from shtlab.space import Ball, QuasiMetricSpace, ball_mask, ball_table, whole_space_ball
 
 
 def qmean(space, f, mask, q):
@@ -122,6 +122,30 @@ def test_powerlog_parameter_validation():
         PowerLog(2.0, -1.0)
     with pytest.raises(InputError):
         Power(0.9)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Power(math.nan), "1 <= s < inf, got nan"),
+        (lambda: Power(math.inf), "1 <= s < inf, got inf"),
+        (lambda: PowerLog(math.nan, 1.0), "1 <= s < inf, got nan"),
+        (lambda: PowerLog(math.inf, 1.0), "1 <= s < inf, got inf"),
+        (lambda: PowerLog(2.0, math.nan), "0 <= a < inf, got nan"),
+        (lambda: PowerLog(2.0, math.inf), "0 <= a < inf, got inf"),
+    ],
+)
+def test_young_parameters_must_be_finite(make, message):
+    with pytest.raises(InputError, match=message):
+        make()
+
+
+def test_mass_ratio_overflow_is_refused():
+    # mu_max / mass_min overflows, so the bracket M / Phi^{-1}(ratio) would be 0
+    sp = QuasiMetricSpace([[0.0, 1.0], [1.0, 0.0]], [1e-200, 1e200])
+    for phi in (Power(2.0), PowerLog(2.0, 1.0).conjugate()):
+        with pytest.raises(InputError, match="mass ratio mu_max/mass_min"):
+            luxemburg_norm(sp, [1.0, 1.0], Ball(0, 2.0), phi)
 
 
 # ---------------------------------------------------------------- exponents

@@ -378,3 +378,69 @@ def test_report_written_to_file(files, capsys, tmp_path):
     code = main(["profile", "--space", files["space"], "--out", str(out)])
     assert code == 0
     assert json.loads(out.read_text())["n"] == 4
+
+
+def test_unwritable_out_exits_2(files, capsys):
+    for out in (files["dir"], files["dir"] / "missing" / "x.json"):
+        assert main(["profile", "--space", files["space"], "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"cannot write {out} (" in captured.err
+
+
+def test_grid_too_large_for_the_workspace_exits_2(files, capsys, monkeypatch):
+    big = files["dir"] / "big.json"
+    big.write_text(json.dumps({"type": "grid", "shape": [10**400]}))
+    assert main(["profile", "--space", str(big)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "grid 'shape'" in captured.err
+    # the refusal sits exactly at the (n, n, dim) element budget
+    monkeypatch.setattr("shtlab.space.WORKSPACE_ELEMENTS", 4 * 4 * 2)
+    assert build_space({"type": "grid", "shape": [2, 2]}).n == 4
+    assert build_space({"type": "grid", "shape": [5]}).n == 5
+    for shape in ([6], [2, 3]):
+        with pytest.raises(InputError, match="grid 'shape'.*exceed 32 elements"):
+            build_space({"type": "grid", "shape": shape})
+
+
+def _write(path, obj):
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def _manifest(space, sigma):
+    inst = {"name": "x", "space": space, "w": [1, 1, 1, 1], "sigma": sigma, "p": 2.0,
+            "phis": ["power:2"]}
+    return {"seed": 1, "instances": [inst]}
+
+
+def test_extreme_masses_exit_2(files, capsys):
+    d = files["dir"]
+    line = [[abs(i - j) for j in range(4)] for i in range(4)]
+    space = {"type": "explicit", "dist": line, "mass": [1e-200, 1, 1, 1e200]}
+    path = _write(d / "extreme.json", space)
+    cases = [
+        (["cz", "--space", path, "--f", files["spike"]], "doubling order d_mu = 664.386"),
+        (["cz", "--space", path, "--f", files["spike"], "--lambda", "4"], "doubling order"),
+        (["verify", "--manifest", _write(d / "m.json", _manifest(space, [1, 1, 1, 1]))],
+         "doubling order"),
+        (["constants", "--space", path, "--w", files["ones"], "--sigma", files["ones"],
+          "--p", "2"], "mass ratio mu_max/mass_min"),
+    ]
+    for args, message in cases:
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+
+def test_overflowing_weight_constant_exits_2(files, capsys):
+    d = files["dir"]
+    big = [1e300] * 4
+    cases = [
+        ["constants", "--space", files["space"], "--w", files["ones"],
+         "--sigma", _write(d / "big.json", big), "--p", "2"],
+        ["verify", "--manifest", _write(d / "m.json", _manifest({"type": "grid", "shape": [4]}, big))],
+    ]
+    for args in cases:
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "sawyer_constant is nan" in captured.err

@@ -318,3 +318,24 @@ def test_powerlog_bump_is_finite_and_reduction_consistent(line4):
     assert np.isfinite(v) and v > 0
     wp = wp_constant(line4, sigma, 2.0, phi.conjugate())
     assert np.isfinite(wp) and wp > 0
+
+
+BIG4 = np.full(4, 1e300)
+
+
+@pytest.mark.parametrize(
+    "name, compute",
+    [
+        ("ap_constant", lambda sp: ap_constant(sp, [1e-320, 1.0, 1.0, 1.0], 2.0)),
+        ("two_weight_ap", lambda sp: two_weight_ap(sp, BIG4, BIG4, 3.0)),
+        ("ainfty_fujii_wilson", lambda sp: ainfty_fujii_wilson(sp, np.full(4, 1e308))),
+        ("ainfty_exp", lambda sp: ainfty_exp(sp, [1e300, 1e-300, 1e-300, 1e-300])),
+        ("bump_ap", lambda sp: bump_ap(sp, BIG4, BIG4, 2.0, Power(2.0))),
+        ("wp_constant", lambda sp: wp_constant(sp, [1e308, 1e-308, 1.0, 1.0], 2.0, Power(2.0))),
+        ("sawyer_constant", lambda sp: sawyer_constant(sp, ONES4, BIG4, 2.0)),
+        ("sawyer_constant", lambda sp: constants_report(sp, ONES4, BIG4, 2.0, Power(2.0))),
+    ],
+)
+def test_non_finite_constant_is_refused_by_name(line4, name, compute):
+    with pytest.raises(InputError, match=rf"^{name} is (inf|nan): the weights overflow"):
+        compute(line4)

@@ -7,8 +7,8 @@ Implemented families:
   the exact Legendre conjugate differs by a bounded factor only).
 * ``PowerLog(s, a)`` -- Phi(t) = t**s * log(e + t)**a, s >= 1, a >= 0.  Convex:
   the cross term of the second derivative dominates both negative terms.
-* ``NumericConjugate(base)`` -- the Legendre conjugate sup_{u>0} (u*t - base(u)),
-  evaluated by a monotone solve of base'(u) = t.  Its conjugate is ``base``
+* ``NumericConjugate(base)`` -- the Legendre conjugate sup_{u>0} (u*t - base(u))
+  of a ``PowerLog`` base, evaluated by a monotone solve of base'(u) = t.  Its conjugate is ``base``
   again (biconjugation of a convex function).
 
 Any conjugate pair built here satisfies the band t <= Phi^{-1}(t) *
@@ -206,6 +206,10 @@ class NumericConjugate(YoungFunction):
     """
 
     base: PowerLog
+
+    def __post_init__(self):
+        if not isinstance(self.base, PowerLog):
+            raise InputError(f"numeric conjugate needs a power-log base, got {self.base!r}")
 
     @property
     def label(self):

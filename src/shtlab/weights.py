@@ -7,7 +7,7 @@ the canonical family.  Conventions:
 * the one-weight A_p and the exponential A_infty constant demand a strictly
   positive weight, since they involve w**(-1/(p-1)) or log(1/w);
 * two-weight constants accept weights with zeros;
-* a constant that overflows to inf or NaN raises InputError naming itself.
+* a constant whose value is inf or NaN raises InputError naming itself.
 """
 from __future__ import annotations
 
@@ -50,16 +50,13 @@ def as_weight(space: QuasiMetricSpace, values) -> np.ndarray:
 
 def _finite(constant):
     """Wrap a weight constant: its value, or an InputError naming it when
-    overflow made the value inf or NaN."""
+    the value is inf or NaN."""
 
     @functools.wraps(constant)
     def checked(*args, **kwargs):
-        with np.errstate(over="ignore", invalid="ignore"):  # judged below
-            value = constant(*args, **kwargs)
+        value = constant(*args, **kwargs)
         if not math.isfinite(value):
-            raise InputError(
-                f"{constant.__name__} is {value}: the weights overflow double precision"
-            )
+            raise InputError(f"{constant.__name__} is {value}, not a finite number")
         return value
 
     return checked

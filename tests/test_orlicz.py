@@ -140,6 +140,11 @@ def test_young_parameters_must_be_finite(make, message):
         make()
 
 
+def test_numeric_conjugate_needs_a_power_log_base():
+    with pytest.raises(InputError, match="needs a power-log base, got power:3"):
+        NumericConjugate(Power(3.0))
+
+
 def test_mass_ratio_overflow_is_refused():
     # mu_max / mass_min overflows, so the bracket M / Phi^{-1}(ratio) would be 0
     sp = QuasiMetricSpace([[0.0, 1.0], [1.0, 0.0]], [1e-200, 1e200])

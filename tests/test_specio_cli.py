@@ -432,6 +432,7 @@ def test_extreme_masses_exit_2(files, capsys):
         assert captured.out == "" and message in captured.err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_weight_constant_exits_2(files, capsys):
     d = files["dir"]
     big = [1e300] * 4

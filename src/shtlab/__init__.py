@@ -3,7 +3,7 @@ quasimetric measure spaces: weight constants, exact maximal operators,
 stopping-time decompositions with explicit structural constants, and an
 inequality harness."""
 
-from .errors import InputError, PreconditionError
+from .errors import InputError, NumericalError, PreconditionError
 from .space import (
     Ball,
     QuasiMetricSpace,

@@ -8,8 +8,12 @@ Implemented families:
 * ``PowerLog(s, a)`` -- Phi(t) = t**s * log(e + t)**a, s >= 1, a >= 0.  Convex:
   the cross term of the second derivative dominates both negative terms.
 * ``NumericConjugate(base)`` -- the Legendre conjugate sup_{u>0} (u*t - base(u))
-  of a ``PowerLog`` base, evaluated by a monotone solve of base'(u) = t.  Its conjugate is ``base``
-  again (biconjugation of a convex function).
+  of a ``PowerLog`` base, evaluated at the root of base'(u) = t.  Its conjugate
+  is ``base`` again (biconjugation of a convex function).
+
+Every power-log inversion -- Phi^{-1}, the Legendre argmax and Phibar^{-1} --
+is one safeguarded Newton solve in log u on one closed-form kernel
+(``_newton_log``); it stops per element once its step is at most LOG_STEP.
 
 Any conjugate pair built here satisfies the band t <= Phi^{-1}(t) *
 Phibar^{-1}(t) <= 2t; the Power convention pair sits at the lower edge.
@@ -35,8 +39,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, special
 
-from .errors import InputError
-from .space import Ball, QuasiMetricSpace, as_field, ball_mask, ball_table, rows_per_chunk
+from .errors import InputError, NumericalError
+from .space import (
+    Ball, QuasiMetricSpace, _float_array, as_field, ball_mask, ball_table, rows_per_chunk,
+)
 
 __all__ = [
     "YoungFunction",
@@ -50,10 +56,12 @@ __all__ = [
 ]
 
 
-REL_TOL = 1e-12       # relative bracket width ending a root solve
+REL_TOL = 1e-12       # relative bracket width ending a Luxemburg solve
+LOG_STEP = 1e-9       # Newton step in log u ending a power-log inversion
 MAX_ITER = 200        # cap on root-finding iterations
-LEGENDRE_ITER = 36    # bisection steps locating the Legendre argmax
 BRACKET_ITER = 600    # cap on bracket expansion steps
+LOG_U_MAX = 700.0     # power-log roots are sought for |log u| <= LOG_U_MAX
+LOG16 = math.log(16.0)  # bracket step: a factor of 16 in u
 QUAD_REL_TOL = 1e-8   # target relative error of the tail integral
 
 
@@ -64,42 +72,75 @@ def p_conjugate(p: float) -> float:
     return p / (p - 1.0)
 
 
-def _bisect_increasing(g, y, x0, steps: int | None = None):
-    """Vectorized inverse of an increasing positive function on (0, inf).
+def _log_kernel(v, c, alpha, beta, a):
+    """log(u**c * L**(a-1) * (alpha*L + beta*r)) and its slope in v = log u.
 
-    Solves g(x) = y for y > 0 elementwise, bracketing around the initial
-    guess x0 by repeated scaling by 16, then bisecting in log(x) until the
-    bracket is REL_TOL wide, or for exactly ``steps`` steps.
+    L = log(e + u) and r = u/(e + u), so that dL/dv = r and dr/dv = r*(1 - r).  (c, alpha, beta) = (s, 1, 0) gives PowerLog(s, a),
+    (s-1, s, a) its derivative and (s, s-1, a) u*Phi'(u) - Phi(u).  L - 1
+    goes through log1p, so the value keeps its digits as u -> 0: at s = 1 the
+    log of the derivative tends to 0 there, and so does its slope.
     """
-    y = np.asarray(y, dtype=float)
-    lo = np.array(x0, dtype=float, copy=True)
-    hi = np.array(x0, dtype=float, copy=True)
-    for _ in range(BRACKET_ITER):
-        need = g(lo) > y
-        if not need.any():
-            break
-        lo = np.where(need, lo / 16.0, lo)
-    for _ in range(BRACKET_ITER):
-        need = g(hi) < y
-        if not need.any():
-            break
-        hi = np.where(need, hi * 16.0, hi)
-    xlo, xhi = np.log(lo), np.log(hi)
-    for _ in range(MAX_ITER if steps is None else steps):
-        if steps is None and np.max(xhi - xlo) <= REL_TOL:
-            break
-        xm = 0.5 * (xlo + xhi)
-        low = g(np.exp(xm)) < y
-        xlo = np.where(low, xm, xlo)
-        xhi = np.where(low, xhi, xm)
-    return np.exp(0.5 * (xlo + xhi))
+    u = np.exp(v)
+    m = np.log1p(u / math.e)  # L - 1
+    r = u / (math.e + u)
+    g = alpha * (1.0 + m) + beta * r
+    log_g = np.log1p(m + beta * r) if alpha == 1 else np.log(g)
+    value = c * v + (a - 1.0) * np.log1p(m) + log_g
+    slope = c + (a - 1.0) * r / (1.0 + m) + r * (alpha + beta * (1.0 - r)) / g
+    return value, slope
 
 
-def _positive_part(func, t):
-    """func on the positive entries of t, 0 elsewhere; a scalar gives a float."""
+def _newton_log(y, c, alpha, beta, a, what):
+    """Solve u**c * L**(a-1) * (alpha*L + beta*r) = y for u > 0 (1-d y > 0).
+
+    Newton in v = log u on ``_log_kernel``, from the root at a = 0 and
+    safeguarded as in Numerical Recipes ``rtsafe``: the start is bracketed by
+    steps of log 16, every evaluation shrinks the bracket, and a Newton step
+    that leaves it becomes a bisection step.  An element is frozen once its
+    Newton step is at most LOG_STEP; convergence is quadratic, so that last
+    step leaves an error far below one ulp.  No element depends on another,
+    so a batch gives the bits of one call per element.
+    """
+    ly = np.log(y)
+    v = np.clip((ly - math.log(alpha or beta)) / (c or 1.0), -LOG_U_MAX, LOG_U_MAX)
+    f, df = _log_kernel(v, c, alpha, beta, a)
+    up = f < ly
+    far, f_far = v.copy(), f.copy()
+    for _ in range(BRACKET_ITER):
+        out = np.flatnonzero(np.where(up, f_far < ly, f_far > ly))
+        if not out.size:
+            break
+        far[out] += np.where(up[out], LOG16, -LOG16)
+        if np.max(np.abs(far[out])) > LOG_U_MAX:
+            raise NumericalError(f"{what}: root u lies beyond exp(+-{LOG_U_MAX:g})")
+        f_far[out] = _log_kernel(far[out], c, alpha, beta, a)[0]
+    else:
+        raise NumericalError(f"{what}: root not bracketed in {BRACKET_ITER} steps")
+    lo, hi = np.minimum(v, far), np.maximum(v, far)
+    idx = np.arange(v.size)
+    root = np.empty(v.size)
+    for _ in range(MAX_ITER):
+        with np.errstate(all="ignore"):  # a step that is not finite becomes a bisection step
+            step = (f - ly) / df
+        lo = np.where(f < ly, v, lo)
+        hi = np.where(f > ly, v, hi)
+        nxt = v - step
+        done = np.abs(step) <= LOG_STEP
+        root[idx[done]] = nxt[done]  # frozen even where a sub-ulp step ends on lo or hi
+        keep = ~done
+        if not keep.any():
+            return np.exp(root)
+        nxt = np.where((nxt > lo) & (nxt < hi), nxt, 0.5 * (lo + hi))
+        idx, v, lo, hi, ly = idx[keep], nxt[keep], lo[keep], hi[keep], ly[keep]
+        f, df = _log_kernel(v, c, alpha, beta, a)
+    raise NumericalError(f"{what}: Newton solve did not converge in {MAX_ITER} steps")
+
+
+def _positive_part(func, t, floor=0.0):
+    """func on the entries of t above floor, 0 elsewhere; a scalar gives a float."""
     t = np.asarray(t, dtype=float)
     out = np.zeros(t.shape)
-    pos = t > 0
+    pos = t > floor
     if pos.any():
         out[pos] = func(t[pos])
     return out if out.ndim else float(out)
@@ -180,15 +221,9 @@ class PowerLog(YoungFunction):
         lead = self.s * t ** (self.s - 1.0) * ln**self.a
         return lead + self.a * t**self.s * ln ** (self.a - 1.0) / (math.e + t)
 
-    def derivative_root_guess(self, t):
-        # seed for solving Phi'(u) = t; exact for a = 0
-        if self.s == 1.0:
-            return np.maximum(t, 1.0)
-        return np.clip((t / self.s) ** (1.0 / (self.s - 1.0)), 1e-290, 1e290)
-
     def inverse(self, y):
         return _positive_part(
-            lambda yp: _bisect_increasing(self, yp, yp ** (1.0 / self.s)), y
+            lambda yp: _newton_log(yp, self.s, 1.0, 0.0, self.a, f"{self.label} inverse"), y
         )
 
     def conjugate(self) -> "NumericConjugate":
@@ -199,10 +234,11 @@ class PowerLog(YoungFunction):
 class NumericConjugate(YoungFunction):
     """Legendre conjugate of a power-log Young function.
 
-    Phibar(t) = u*t - Phi(u*) at the stationary point Phi'(u*) = t; the
-    derivative is increasing, so the solve is a log-bisection seeded by
-    ``PowerLog.derivative_root_guess``.  The inverse solves
-    u*Phi'(u) - Phi(u) = y instead, which needs no argmax.
+    Phibar(t) = u*t - Phi(u*) at the stationary point Phi'(u*) = t, and
+    Phibar'(t) = u*.  Phibar(Phi'(u)) = u*Phi'(u) - Phi(u) increases in u, so
+    Phibar^{-1}(y) is Phi'(u) at the root of u*Phi'(u) - Phi(u) = y, with no
+    argmax nested in it.  Both roots come from ``_newton_log``.  At s = 1,
+    Phi'(0) = 1, so u* = 0 and Phibar = 0 for t <= 1.
     """
 
     base: PowerLog
@@ -210,36 +246,40 @@ class NumericConjugate(YoungFunction):
     def __post_init__(self):
         if not isinstance(self.base, PowerLog):
             raise InputError(f"numeric conjugate needs a power-log base, got {self.base!r}")
+        if self.base.s == 1 and self.base.a == 0:
+            raise InputError(
+                f"conjugate of {self.base.label} degenerates; exponent must exceed 1 "
+                f"or log-exponent be positive"
+            )
 
     @property
     def label(self):
         return f"conjugate({self.base.label})"
 
+    @property
+    def _kink(self):
+        """base'(0): 1 at s = 1, else 0.  Up to it u* = 0, so Phibar = Phibar' = 0."""
+        return 1.0 if self.base.s == 1 else 0.0
+
     def _argmax(self, t):
-        """Solve base'(u) = t elementwise (t > 0 assumed)."""
-        base = self.base
-        return _bisect_increasing(
-            base.derivative, t, base.derivative_root_guess(t), steps=LEGENDRE_ITER
-        )
+        """Solve base'(u) = t elementwise (t > base'(0) assumed)."""
+        s, a = self.base.s, self.base.a
+        return _newton_log(t, s - 1.0, s, a, a, f"{self.label} argmax")
 
     def _value(self, t):
         u = self._argmax(t)
         return np.maximum(u * t - self.base(u), 0.0)
 
     def __call__(self, t):
-        return _positive_part(self._value, t)
+        return _positive_part(self._value, t, self._kink)
 
     def derivative(self, t):
         # envelope: d/dt sup_u (u t - Phi(u)) = argmax u
-        return _positive_part(self._argmax, t)
+        return _positive_part(self._argmax, t, self._kink)
 
     def _inverse(self, y):
-        # Phibar(Phi'(u)) = u Phi'(u) - Phi(u) increases in u, so Phibar^{-1}(y)
-        # is Phi'(u) at the root of u Phi'(u) - Phi(u) = y: one bisection,
-        # with no Legendre argmax nested in it
-        base = self.base
-        u = _bisect_increasing(lambda v: v * base.derivative(v) - base(v), y, np.sqrt(y))
-        return base.derivative(u)
+        s, a = self.base.s, self.base.a
+        return self.base.derivative(_newton_log(y, s, s - 1.0, a, a, f"{self.label} inverse"))
 
     def inverse(self, y):
         return _positive_part(self._inverse, y)
@@ -298,19 +338,20 @@ def _norms_core(member, weighted, mu, mass, fmat, phi):
             s = (phi(fa / lam[:, None]) * wa).sum(axis=1) / mua
             return np.log(s)
 
-        root = np.exp(_illinois(log_gap, xlo, xhi))
+        root = np.exp(_illinois(log_gap, xlo, xhi, f"Luxemburg norm under {phi!r}"))
         buf = np.zeros((rows.stop - rows.start, m))
         buf[kk, bb] = root[back]
         out[rows] = buf
     return out
 
 
-def _illinois(func, xlo, xhi):
+def _illinois(func, xlo, xhi, what):
     """Illinois-damped false position for a decreasing function.
 
     func(xlo) >= 0 >= func(xhi) elementwise; returns x with |bracket| <=
-    REL_TOL.  Converges superlinearly on the near-affine log-log constraint
-    while keeping the bisection bracket guarantee.
+    REL_TOL, or raises NumericalError naming ``what``.  Converges
+    superlinearly on the near-affine log-log constraint while keeping the
+    bisection bracket guarantee.
     """
     fa = func(xlo)
     fb = func(xhi)
@@ -334,6 +375,8 @@ def _illinois(func, xlo, xhi):
         fb_new = np.where(above, np.where(side == -1, 0.5 * fb, fb), ft)
         side = np.where(above, -1, 1)
         fa, fb = fa_new, fb_new
+    if np.max(xhi - xlo) > REL_TOL:
+        raise NumericalError(f"{what}: bracket wider than {REL_TOL:g} after {MAX_ITER} steps")
     return 0.5 * (xlo + xhi)
 
 
@@ -359,7 +402,9 @@ def luxemburg_norms_over_balls(
 ) -> np.ndarray:
     """Norms of each row of ``fmat`` over every canonical ball, shape (k, m)."""
     tbl = ball_table(space)
-    fmat = np.atleast_2d(np.asarray(fmat, dtype=float))
+    fmat = np.atleast_2d(_float_array(fmat, "fmat"))
+    for i, row in enumerate(fmat):
+        as_field(space, row, f"row {i} of fmat")
     return _norms_core(tbl.member, tbl.weighted, tbl.mu, space.mass, fmat, phi)
 
 

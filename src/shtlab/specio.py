@@ -86,12 +86,13 @@ def parse_phi(obj) -> YoungFunction:
         if obj.startswith("power:") or obj.startswith("powerlog:"):
             parts = obj.split(":")
             try:
-                if parts[0] == "power" and len(parts) == 2:
-                    return _make_power(float(parts[1]))
-                if parts[0] == "powerlog" and len(parts) == 3:
-                    return _make_powerlog(float(parts[1]), float(parts[2]))
+                nums = [float(x) for x in parts[1:]]
             except ValueError as exc:
                 raise InputError(f"malformed Young function spec {obj!r}") from exc
+            if parts[0] == "power" and len(nums) == 1:
+                return _make_power(*nums)
+            if parts[0] == "powerlog" and len(nums) == 2:
+                return _make_powerlog(*nums)
             raise InputError(f"malformed Young function spec {obj!r}")
         obj = load_json(obj)
     if not isinstance(obj, dict):

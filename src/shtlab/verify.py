@@ -14,6 +14,7 @@ constant) are probed and reported, never asserted.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,11 +85,19 @@ def verify_main_chain(
         profile = space_profile(space)
     if config is None:
         config = cz_config(profile)
+    try:
+        constant = 4.0 * config.a**p * (2.0 * config.theta) ** ((p + 1.0) * config.d_mu)
+    except OverflowError:
+        constant = math.inf
+    if constant == math.inf:
+        raise InputError(
+            f"chain constant 4*a**p*(2*theta)**((p+1)*d_mu) overflows at p = {p:g}: "
+            f"doubling order d_mu = {config.d_mu:g}, a = {config.a:g}, theta = {config.theta:g}"
+        )
     phibar = phi.conjugate()
     sawyer = sawyer_constant(space, w, sigma, p)
     bump = bump_ap(space, w, sigma, p, phi)
     wp = wp_constant(space, sigma, p, phibar)
-    constant = 4.0 * config.a**p * (2.0 * config.theta) ** ((p + 1.0) * config.d_mu)
     bound = constant * bump * wp
     slack = sawyer**p / bound
     return ChainReport(

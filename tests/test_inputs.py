@@ -8,7 +8,7 @@ import pytest
 from shtlab.czdecomp import cz_decompose
 from shtlab.errors import InputError
 from shtlab.maximal import hl_maximal, orlicz_maximal, restricted_maximal_table
-from shtlab.orlicz import Power, luxemburg_norm
+from shtlab.orlicz import Power, luxemburg_norm, luxemburg_norms_over_balls
 from shtlab.space import Ball, whole_space_ball
 from shtlab.specio import parse_weight
 from shtlab.weights import (
@@ -37,6 +37,7 @@ ENTRY_POINTS = {
     "restricted_maximal_table": lambda sp, v: restricted_maximal_table(sp, v),
     "orlicz_maximal": lambda sp, v: orlicz_maximal(sp, v, Power(2.0)),
     "luxemburg_norm": lambda sp, v: luxemburg_norm(sp, v, Ball(0, 2.0), Power(2.0)),
+    "luxemburg_norms_over_balls": lambda sp, v: luxemburg_norms_over_balls(sp, v, Power(2.0)),
     "cz_decompose": lambda sp, v: cz_decompose(sp, whole_space_ball(sp), v, 10.0),
     "parse_weight": lambda sp, v: parse_weight(v, sp),
     "parse_weight_array": lambda sp, v: parse_weight({"type": "array", "values": v}, sp),
@@ -58,3 +59,11 @@ def test_vector_inputs_rejected_with_cause(line4, entry, bad):
     values, message = BAD_VECTORS[bad]
     with pytest.raises(InputError, match=message):
         ENTRY_POINTS[entry](line4, values)
+
+
+def test_norm_matrix_rows_are_named(line4):
+    fmat = [ONES, [1.0, math.nan, 1.0, 1.0]]
+    with pytest.raises(InputError, match="row 1 of fmat contains NaN at index 1"):
+        luxemburg_norms_over_balls(line4, fmat, Power(2.0))
+    with pytest.raises(InputError, match=r"row 0 of fmat must be a length-4 array, got shape \(5,\)"):
+        luxemburg_norms_over_balls(line4, [ONES + [1.0]] * 2, Power(2.0))

@@ -6,13 +6,13 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from conftest import random_cloud
-from shtlab.errors import InputError
+from shtlab import orlicz
+from shtlab.errors import InputError, NumericalError
 from shtlab.orlicz import (
     NumericConjugate,
     Power,
     PowerLog,
     YoungFunction,
-    _bisect_increasing,
     alpha_p,
     luxemburg_norm,
     luxemburg_norms_over_balls,
@@ -79,6 +79,68 @@ def test_numeric_conjugate_inverse_oracles():
             want = (y / c) ** (1.0 / sc) if a == 0 else y
             got = inv if a == 0 else conj(inv)
             assert np.allclose(got, want, rtol=1e-11, atol=0), (s, a)
+
+
+def test_power_log_inversions_round_trip():
+    # Phi'(argmax(t)) = t and Phi(Phi^{-1}(y)) = y; at a = 0 against the closed
+    # forms argmax(t) = (t/s)**(1/(s-1)) and Phi^{-1}(y) = y**(1/s)
+    t = np.logspace(-8, 8, 1601)
+    for s in (1.25, 1.5, 2.0, 3.0, 6.0):
+        for a in (0.0, 0.5, 1.0, 2.0):
+            phi = PowerLog(s, a)
+            u, inv = phi.conjugate().derivative(t), phi.inverse(t)
+            if a == 0:
+                pairs = ((u, (t / s) ** (1.0 / (s - 1.0))), (inv, t ** (1.0 / s)))
+            else:
+                pairs = ((phi.derivative(u), t), (phi(inv), t))
+            for got, want in pairs:
+                assert np.allclose(got, want, rtol=1e-13, atol=0), (s, a)
+
+
+def test_power_log_solves_are_batch_independent():
+    # every element is solved on its own, so a batch gives the scalar bits
+    rng = np.random.default_rng(43)
+    # at s = 1, argmax(t) ~ exp(t) leaves the float range well before t = 1e8
+    for s, a, top in ((1.25, 1.0, 8), (2.0, 0.5, 8), (6.0, 2.0, 8), (1.0, 1.0, 2)):
+        x = 10.0 ** rng.uniform(-8, top, 400)
+        phi = PowerLog(s, a)
+        conj = phi.conjugate()
+        for fn in (phi.inverse, conj, conj.derivative, conj.inverse):
+            assert np.array_equal(fn(x), [fn(float(v)) for v in x]), (s, a, fn)
+
+
+def test_unit_exponent_conjugate():
+    # s = 1: Phi'(0) = 1, so for t <= 1 the argmax is u = 0 and Phibar(t) = 0,
+    # without a warning; a = 0 as well makes the conjugate degenerate
+    t = np.array([0.0, 1e-300, 0.5, 1.0])
+    for a in (0.5, 1.0, 2.0):
+        conj = PowerLog(1.0, a).conjugate()
+        assert np.array_equal(conj(t), np.zeros(4))
+        assert np.array_equal(conj.derivative(t), np.zeros(4))
+        above = np.array([1.0 + 2.0**-52, 1.5, 3.0])
+        u = conj.derivative(above)
+        assert np.all(u > 0) and np.allclose(PowerLog(1.0, a).derivative(u), above, rtol=1e-13)
+        assert np.allclose(conj.inverse(conj(above[1:])), above[1:], rtol=1e-12)
+    with pytest.raises(InputError, match="conjugate of powerlog:1:0 degenerates"):
+        PowerLog(1.0, 0.0).conjugate()
+
+
+def test_solver_failures_raise_numerical_error(monkeypatch, line4):
+    conj = PowerLog(2.0, 1.0).conjugate()
+    with pytest.raises(NumericalError, match=r"conjugate\(powerlog:1.0001:1\) argmax: root u"):
+        PowerLog(1.0001, 1.0).conjugate()(1e8)  # log u* is near 1.8e5
+    monkeypatch.setattr(orlicz, "BRACKET_ITER", 1)
+    with pytest.raises(NumericalError, match=r"conjugate\(powerlog:1:1\) argmax: root not brack"):
+        PowerLog(1.0, 1.0).conjugate()(30.0)  # u* near exp(29), far from the start
+    monkeypatch.setattr(orlicz, "BRACKET_ITER", 600)
+    monkeypatch.setattr(orlicz, "MAX_ITER", 2)
+    for fn, name in ((conj, "argmax"), (conj.inverse, "inverse")):
+        with pytest.raises(NumericalError, match=rf"powerlog:2:1\) {name}: Newton solve did not"):
+            fn(30.0)
+    with pytest.raises(NumericalError, match="powerlog:2:1 inverse: Newton"):
+        PowerLog(2.0, 1.0).inverse(30.0)
+    with pytest.raises(NumericalError, match="Luxemburg norm under power:2: bracket wider"):
+        luxemburg_norm(line4, [1.0, 2.0, 3.0, 4.0], Ball(0, 3.0), Power(2.0))
 
 
 def test_conjugate_of_numeric_conjugate_is_base():
@@ -238,6 +300,21 @@ def test_norm_monotone_in_exponent_and_pointwise_phi():
     assert lo <= hi * (1 + 1e-9)
 
 
+def _scalar_bisect(g, y, x0):
+    """x > 0 with g(x) = y for an increasing scalar g: brackets x0 by factors
+    of 2, then bisects log x to 1e-14; shares no code with shtlab.orlicz."""
+    lo = hi = x0
+    while g(lo) > y:
+        lo /= 2.0
+    while g(hi) < y:
+        hi *= 2.0
+    a, b = math.log(lo), math.log(hi)
+    while b - a > 1e-14:
+        mid = 0.5 * (a + b)
+        a, b = (mid, b) if g(math.exp(mid)) < y else (a, mid)
+    return math.exp(0.5 * (a + b))
+
+
 def test_sweep_matches_bisection_oracle():
     # independent oracle: per (row, ball), bisect the Luxemburg constraint,
     # increasing in x = 1/lam, for its unit level
@@ -255,7 +332,7 @@ def test_sweep_matches_bisection_oracle():
                 def constraint(x):
                     return (phi(fb * x) * wb).sum() / tbl.mu[b]
 
-                x = _bisect_increasing(constraint, 1.0, 1.0 / fb.max())
+                x = _scalar_bisect(constraint, 1.0, 1.0 / fb.max())
                 want[i, b] = 1.0 / x
         assert np.allclose(got, want, rtol=1e-10, atol=0)
 

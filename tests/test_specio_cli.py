@@ -24,11 +24,25 @@ def test_parse_phi_inline():
     assert parse_phi({"family": "powerlog", "s": 2.5, "a": 0.5}) == PowerLog(2.5, 0.5)
 
 
+PHI_REJECTS = {
+    "power:1": "power exponent must satisfy s > 1, got 1.0",
+    "power:0.5": "power exponent must satisfy s > 1, got 0.5",
+    "powerlog:2": "malformed Young function spec 'powerlog:2'",
+    "power:x": "malformed Young function spec 'power:x'",
+    "loglog:2": "unreadable file: loglog:2",
+    "{'family': 'exp'}": "unknown Young function family 'exp'",
+    "powerlog:1:1": "power-log exponent must satisfy s > 1, got 1.0",
+    "powerlog:2:-1": "log-exponent must satisfy 0 <= a < inf, got -1.0",
+}
+
+
 @pytest.mark.parametrize(
-    "bad", ["power:1", "power:0.5", "powerlog:2", "power:x", "loglog:2", {"family": "exp"}]
+    "bad",
+    ["power:1", "power:0.5", "powerlog:2", "power:x", "loglog:2", {"family": "exp"},
+     "powerlog:1:1", "powerlog:2:-1"],
 )
 def test_parse_phi_rejects(bad):
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=PHI_REJECTS[str(bad)]):
         parse_phi(bad)
 
 
@@ -430,6 +444,19 @@ def test_extreme_masses_exit_2(files, capsys):
         assert main(args) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and message in captured.err
+
+
+def test_overflowing_chain_constant_exits_2(files, capsys):
+    # d_mu is about 120, which cz_config accepts, but (2*theta)**((p+1)*d_mu)
+    # is far beyond the float range at p = 2
+    line = [[abs(i - j) for j in range(4)] for i in range(4)]
+    space = {"type": "explicit", "dist": line, "mass": [1e-36, 1, 1, 1e36]}
+    manifest = _write(files["dir"] / "m.json", _manifest(space, [1, 1, 1, 1]))
+    assert main(["verify", "--manifest", manifest]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "chain constant 4*a**p*(2*theta)**((p+1)*d_mu) overflows" in captured.err
+    assert "doubling order d_mu = 119.589" in captured.err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

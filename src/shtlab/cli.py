@@ -1,13 +1,12 @@
 """Batch command-line front door.
 
-Commands: profile, constants, cz, opnorm, verify.  Reports are JSON (CSV for
-constant sweeps); identical inputs and seed give byte-identical output.
+Commands: profile, constants, cz, opnorm, verify.  Reports are JSON, or CSV
+for profile and constants; identical inputs and seed give byte-identical output.
 Exit codes: 0 success, 1 checker violation, 2 input error.
 """
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
 from dataclasses import asdict
@@ -16,7 +15,7 @@ import numpy as np
 
 from .czdecomp import cz_config, cz_decompose, multi_level_decompose, verify_cz_properties, verify_disjointing
 from .errors import InputError
-from .space import Ball, ball_members, space_profile, whole_space_ball
+from .space import Ball, space_profile, whole_space_ball
 from .specio import load_json, parse_phi, parse_space, parse_weight
 from .suite import run_suite
 from .verify import _sawyer_ordering, opnorm_lower_bound
@@ -34,18 +33,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, *, space=True):
+    def common(sp, *, space=True, seed=False, csv=False):
         if space:
             sp.add_argument("--space", required=True, help="space spec JSON file")
         sp.add_argument("--out", help="report output path (default: stdout)")
-        sp.add_argument("--seed", type=int, default=0, help="seed for randomized behavior")
-        sp.add_argument("--format", choices=["json", "csv"], default="json")
+        if seed:
+            sp.add_argument("--seed", type=int, default=0, help="seed for randomized behavior")
+        if csv:
+            sp.add_argument("--format", choices=["json", "csv"], default="json")
 
     sp = sub.add_parser("profile", help="structural constants of a space")
-    common(sp)
+    common(sp, csv=True)
 
     sp = sub.add_parser("constants", help="weight constants for (w, sigma, p, phi)")
-    common(sp)
+    common(sp, csv=True)
     sp.add_argument("--w", required=True, help="weight spec (JSON file)")
     sp.add_argument("--sigma", required=True, help="weight spec (JSON file)")
     sp.add_argument("--p", required=True, help="exponent, or comma list for a sweep")
@@ -60,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--allow-small-a", action="store_true", help="accept a below the disjointing requirement")
 
     sp = sub.add_parser("opnorm", help="operator-norm lower-bound search")
-    common(sp)
+    common(sp, seed=True)
     sp.add_argument("--w", required=True)
     sp.add_argument("--sigma", required=True)
     sp.add_argument("--p", type=float, required=True)
@@ -71,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sp = sub.add_parser("verify", help="run a manifest of suite instances")
-    common(sp, space=False)
+    common(sp, space=False, seed=True)
     sp.add_argument("--manifest", required=True, help="suite manifest JSON file")
     return parser
 
@@ -80,13 +81,8 @@ _PARSER = build_parser()  # parse_args leaves it unchanged, so main reuses it
 
 
 def _emit(obj, args, csv_rows=None) -> None:
-    if args.format == "csv":
-        if csv_rows is None:
-            raise InputError("csv format is supported for profile and constants only")
-        buf = io.StringIO()
-        for row in csv_rows:
-            buf.write(",".join(str(x) for x in row) + "\n")
-        text = buf.getvalue()
+    if csv_rows is not None and args.format == "csv":
+        text = "".join(",".join(str(x) for x in row) + "\n" for row in csv_rows)
     else:
         text = json.dumps(obj, indent=2, sort_keys=True, default=_jsonable) + "\n"
     if args.out:
@@ -139,11 +135,11 @@ def _cmd_constants(args) -> int:
     return 0
 
 
-def _ball_json(ball, space) -> dict:
+def _ball_json(ball, members) -> dict:
     return {
         "center": int(ball.center),
         "radius": float(ball.radius),
-        "members": [int(y) for y in ball_members(space, ball)],
+        "members": [int(y) for y in members],
     }
 
 
@@ -159,7 +155,7 @@ def _cmd_cz(args) -> int:
         obj = {
             "lambda": dec.level,
             "omega": [int(x) for x in dec.omega],
-            "balls": [_ball_json(b, space) for b in dec.selected],
+            "balls": [_ball_json(b, m) for b, m in zip(dec.selected, dec.selected_members)],
             "violations": check["violations"],
             "undilated_exceedances": check["undilated_exceedances"],
         }
@@ -174,7 +170,7 @@ def _cmd_cz(args) -> int:
                     "k": e.k,
                     "lambda": e.level,
                     "omega": [int(x) for x in e.omega],
-                    "balls": [_ball_json(b, space) for b in e.balls],
+                    "balls": [_ball_json(b, m) for b, m in zip(e.balls, e.members)],
                     "pruned": [[int(x) for x in m] for m in e.pruned],
                 }
                 for e in fam.entries

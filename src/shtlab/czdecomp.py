@@ -143,9 +143,7 @@ def _select_level(space, tbl, base_mask, mf, avg, lam):
         if not (tbl.member[r] & union).any():
             kept.append(int(r))
             union |= tbl.member[r]
-    balls = [tbl.balls[r] for r in kept]
-    members = [np.nonzero(tbl.member[r])[0] for r in kept]
-    return omega, list(zip(balls, members))
+    return omega, [(tbl.ball(r), np.nonzero(tbl.member[r])[0]) for r in kept]
 
 
 def cz_decompose(
@@ -238,7 +236,7 @@ def verify_cz_properties(
                     {
                         "kind": "window_violated",
                         "ball": ball,
-                        "enclosing": tbl.balls[r],
+                        "enclosing": tbl.ball(r),
                         "average": avg_out,
                     }
                 )

@@ -59,9 +59,7 @@ __all__ = [
 REL_TOL = 1e-12       # relative bracket width ending a Luxemburg solve
 LOG_STEP = 1e-9       # Newton step in log u ending a power-log inversion
 MAX_ITER = 200        # cap on root-finding iterations
-BRACKET_ITER = 600    # cap on bracket expansion steps
 LOG_U_MAX = 700.0     # power-log roots are sought for |log u| <= LOG_U_MAX
-LOG16 = math.log(16.0)  # bracket step: a factor of 16 in u
 QUAD_REL_TOL = 1e-8   # target relative error of the tail integral
 
 
@@ -94,32 +92,24 @@ def _newton_log(y, c, alpha, beta, a, what):
     """Solve u**c * L**(a-1) * (alpha*L + beta*r) = y for u > 0 (1-d y > 0).
 
     Newton in v = log u on ``_log_kernel``, from the root at a = 0 and
-    safeguarded as in Numerical Recipes ``rtsafe``: the start is bracketed by
-    steps of log 16, every evaluation shrinks the bracket, and a Newton step
-    that leaves it becomes a bisection step.  An element is frozen once its
-    Newton step is at most LOG_STEP; convergence is quadratic, so that last
-    step leaves an error far below one ulp.  No element depends on another,
-    so a batch gives the bits of one call per element.
+    safeguarded as in Numerical Recipes ``rtsafe``: the kernel increases in v,
+    so its values at v = +-LOG_U_MAX show at once that every root lies in that
+    domain, each element's starting bracket.  Every evaluation shrinks it, and
+    a Newton step that leaves it becomes a bisection step.  An element is
+    frozen once its Newton step is at most LOG_STEP; convergence is quadratic,
+    so that last step leaves an error far below one ulp.  No element depends
+    on another, so a batch gives the bits of one call per element.
     """
     ly = np.log(y)
+    f_min, f_max = _log_kernel(np.array([-LOG_U_MAX, LOG_U_MAX]), c, alpha, beta, a)[0]
+    if ly.min() < f_min or ly.max() > f_max:
+        raise NumericalError(f"{what}: root u lies beyond exp(+-{LOG_U_MAX:g})")
     v = np.clip((ly - math.log(alpha or beta)) / (c or 1.0), -LOG_U_MAX, LOG_U_MAX)
-    f, df = _log_kernel(v, c, alpha, beta, a)
-    up = f < ly
-    far, f_far = v.copy(), f.copy()
-    for _ in range(BRACKET_ITER):
-        out = np.flatnonzero(np.where(up, f_far < ly, f_far > ly))
-        if not out.size:
-            break
-        far[out] += np.where(up[out], LOG16, -LOG16)
-        if np.max(np.abs(far[out])) > LOG_U_MAX:
-            raise NumericalError(f"{what}: root u lies beyond exp(+-{LOG_U_MAX:g})")
-        f_far[out] = _log_kernel(far[out], c, alpha, beta, a)[0]
-    else:
-        raise NumericalError(f"{what}: root not bracketed in {BRACKET_ITER} steps")
-    lo, hi = np.minimum(v, far), np.maximum(v, far)
+    lo, hi = np.full(v.size, -LOG_U_MAX), np.full(v.size, LOG_U_MAX)
     idx = np.arange(v.size)
     root = np.empty(v.size)
     for _ in range(MAX_ITER):
+        f, df = _log_kernel(v, c, alpha, beta, a)
         with np.errstate(all="ignore"):  # a step that is not finite becomes a bisection step
             step = (f - ly) / df
         lo = np.where(f < ly, v, lo)
@@ -132,7 +122,6 @@ def _newton_log(y, c, alpha, beta, a, what):
             return np.exp(root)
         nxt = np.where((nxt > lo) & (nxt < hi), nxt, 0.5 * (lo + hi))
         idx, v, lo, hi, ly = idx[keep], nxt[keep], lo[keep], hi[keep], ly[keep]
-        f, df = _log_kernel(v, c, alpha, beta, a)
     raise NumericalError(f"{what}: Newton solve did not converge in {MAX_ITER} steps")
 
 
@@ -296,8 +285,10 @@ def _norms_core(member, weighted, mu, mass, fmat, phi):
 
     A root depends only on the restricted row f*chi_B and on mu(B): off B,
     ``weighted`` multiplies Phi(0) = 0.  So each distinct active pair of a
-    chunk is solved once and its root scattered back; every solve is
-    elementwise, so the roots are the bits a solve per pair would give.
+    chunk is solved once and its root scattered back; duplicate pairs would
+    run identical trajectories, so this keeps the bits.  A root is not the
+    bits of a solve of its pair alone: ``_illinois`` steps the whole batch
+    until its widest bracket is within REL_TOL.
     """
     k = fmat.shape[0]
     m = member.shape[0]
@@ -403,8 +394,12 @@ def luxemburg_norms_over_balls(
     """Norms of each row of ``fmat`` over every canonical ball, shape (k, m)."""
     tbl = ball_table(space)
     fmat = np.atleast_2d(_float_array(fmat, "fmat"))
-    for i, row in enumerate(fmat):
-        as_field(space, row, f"row {i} of fmat")
+    if fmat.shape[1:] == (space.n,):
+        bad = np.flatnonzero(~((fmat >= 0) & (fmat < math.inf)).all(axis=1))[:1]
+    else:
+        bad = range(min(1, len(fmat)))
+    for i in bad:  # the first bad row; as_field names the fault
+        as_field(space, fmat[i], f"row {i} of fmat")
     return _norms_core(tbl.member, tbl.weighted, tbl.mu, space.mass, fmat, phi)
 
 
@@ -416,7 +411,8 @@ def alpha_p(
     Power(s): closed form 1/(p-s) for s < p.  PowerLog: substitution t = e^u
     gives int_0^inf e^{-(p-s)u} log(e+e^u)^a du, integrated on [0, U] with a
     certified remainder: for u >= 1, log(e+e^u) <= u+1, so the tail is at most
-    e^c c^{-(a+1)} Gamma(a+1, c(U+1)) with c = p-s.
+    e^c c^{-(a+1)} Gamma(a+1, c(U+1)) with c = p-s.  A float overflow, or a
+    remainder still uncertified after 200 doublings of U, raises NumericalError.
     """
     p_conjugate(p)  # validates the exponent range
     if isinstance(phi, Power):
@@ -430,19 +426,23 @@ def alpha_p(
         def integrand(u):
             return math.exp(-c * u) * float(np.logaddexp(1.0, u)) ** a
 
+        what = f"tail integral of {phi!r} at p = {p:g}"
         upper = max(2.0, 4.0 / c)
         for _ in range(200):
-            main, _ = integrate.quad(
-                integrand, 0.0, upper, epsabs=0.0, epsrel=1e-11, limit=400
-            )
-            tail_bound = (
-                math.exp(c) * c ** -(a + 1.0) * special.gammaincc(a + 1.0, c * (upper + 1.0))
-                * special.gamma(a + 1.0)
-            )
+            try:
+                main, _ = integrate.quad(
+                    integrand, 0.0, upper, epsabs=0.0, epsrel=1e-11, limit=400
+                )
+                tail_bound = (
+                    math.exp(c) * c ** -(a + 1.0) * special.gammaincc(a + 1.0, c * (upper + 1.0))
+                    * special.gamma(a + 1.0)
+                )
+            except OverflowError as exc:  # a Python float power
+                raise NumericalError(f"{what}: the integrand or its tail bound overflows") from exc
             if tail_bound <= 0.5 * QUAD_REL_TOL * main:
                 return main + 0.5 * tail_bound
             upper *= 2.0
-        raise RuntimeError("tail integral failed to certify its remainder")
+        raise NumericalError(f"{what}: remainder not certified after 200 doublings")
     raise InputError(
         "tail integral is implemented for the power and power-log families"
     )

@@ -221,17 +221,15 @@ def space_profile(space: QuasiMetricSpace) -> SpaceProfile:
     """Profile kappa, the doubling constant and order, and the engulfing factor."""
     dist = space.dist
     n = space.n
-    if n < 2:
-        kappa = 1.0
-    else:
-        # ratio[x, y, z] = d(x,y) / (d(x,z) + d(z,y)); denominator vanishes
-        # only when x == z == y, excluded by the x != y mask.
-        denom = dist[:, None, :] + dist.T[None, :, :]  # [x, y, z]
-        numer = dist[:, :, None]
-        offdiag = ~np.eye(n, dtype=bool)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(offdiag[:, :, None], numer / denom, 0.0)
-        kappa = max(1.0, float(np.nanmax(ratio)))
+    # kappa = max d(x,y) / min_z (d(x,z) + d(z,y)), in chunks of rows x; division
+    # is monotone, so this is the max over all z.  z = x puts each x != y at >= 1,
+    # and x == y, the only zero denominator, reads 1.
+    kappa = 1.0
+    chunk = rows_per_chunk(n * n)
+    for start in range(0, n, chunk):
+        near = (dist[start:start + chunk, None, :] + dist[None, :, :]).min(axis=2)
+        ratio = np.divide(dist[start:start + chunk], near, out=np.ones_like(near), where=near > 0)
+        kappa = max(kappa, float(ratio.max()))
     c_mu = 1.0
     tbl = ball_table(space)
     # One product per center, not one over the table: OpenBLAS sums a row of
@@ -264,12 +262,13 @@ def ball_members(space: QuasiMetricSpace, ball: Ball) -> np.ndarray:
 class BallTable:
     """Dense view of the canonical ball family for vectorized sweeps.
 
-    ``member[b, y]`` is the membership matrix, ``mu[b]`` the ball measures,
-    ``weighted[b, y] = member * mass`` the row weights used by averages, and
-    ``by_radius`` the rows sorted by radius descending, then center ascending
-    (the stopping-time selection order).  Maximal operators, weight
-    constants, decompositions and the space profile and checks reduce over
-    balls through this table.
+    Row b is the ball of center ``centers[b]`` and radius ``radii[b]``, and
+    ``ball(b)`` builds it as a ``Ball`` for a report.  ``member[b, y]`` is the
+    membership matrix, ``mu[b]`` the ball measures, ``weighted[b, y] = member
+    * mass`` the row weights used by averages, and ``by_radius`` the rows
+    sorted by radius descending, then center ascending (the stopping-time
+    selection order).  Maximal operators, weight constants, decompositions
+    and the space profile and checks reduce over balls through this table.
     """
 
     def __init__(self, space: QuasiMetricSpace):
@@ -281,19 +280,20 @@ class BallTable:
         srt = np.sort(space.dist, axis=1)
         top = 2.0 * srt[:, -1:] if space.n > 1 else np.ones((1, 1))
         keep = np.hstack([srt[:, 1:] > srt[:, :-1], np.ones_like(top, dtype=bool)])
-        centers = np.nonzero(keep)[0]
-        radii = np.hstack([srt[:, 1:], top])[keep]
-        self.balls = [Ball(center=c, radius=r) for c, r in zip(centers.tolist(), radii.tolist())]
-        self.centers = centers
-        self.radii = radii
+        self.centers = np.nonzero(keep)[0]
+        self.radii = np.hstack([srt[:, 1:], top])[keep]
         self.member = self.dilated(1.0)
         self.weighted = self.member * space.mass[None, :]
         self.mu = self.weighted.sum(axis=1)
-        self.by_radius = np.lexsort((centers, -radii))
+        self.by_radius = np.lexsort((self.centers, -self.radii))
 
     @property
     def m(self) -> int:
-        return len(self.balls)
+        return self.radii.size
+
+    def ball(self, r: int) -> Ball:
+        """Row r of the family as a ``Ball``."""
+        return Ball(center=int(self.centers[r]), radius=float(self.radii[r]))
 
     def dilated(self, lam: float) -> np.ndarray:
         """Membership (m, n) of every dilate lam*B: dist < lam * r(B)."""
@@ -338,7 +338,7 @@ def dilate_ball(ball: Ball, lam: float) -> Ball:
 def whole_space_ball(space: QuasiMetricSpace) -> Ball:
     """The canonical ball at center 0 whose member set is the whole space."""
     tbl = ball_table(space)
-    return tbl.balls[int(np.searchsorted(tbl.centers, 0, side="right")) - 1]
+    return tbl.ball(int(np.searchsorted(tbl.centers, 0, side="right")) - 1)
 
 
 def check_engulfing(space: QuasiMetricSpace, profile: SpaceProfile) -> list[tuple[Ball, Ball]]:
@@ -354,7 +354,7 @@ def check_engulfing(space: QuasiMetricSpace, profile: SpaceProfile) -> list[tupl
     # [i, j]: B_i meets B_j, and B_i has a point outside engulf * B_j
     bad = ((member @ member.T) > 0) & ((member @ outside.T) > 0)
     bad &= tbl.radii[:, None] <= tbl.radii[None, :]
-    return [(tbl.balls[i], tbl.balls[j]) for j, i in np.argwhere(bad.T)]
+    return [(tbl.ball(i), tbl.ball(j)) for j, i in np.argwhere(bad.T)]
 
 
 def check_dilation_bounds(
@@ -378,7 +378,7 @@ def check_dilation_bounds(
         for i in np.nonzero(bad)[0]:
             violations.append(
                 {
-                    "ball": tbl.balls[i],
+                    "ball": tbl.ball(i),
                     "lambda": float(lam),
                     "mu_dilated": float(mu_dil[i]),
                     "bound": float(bound[i]),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from shtlab.space import QuasiMetricSpace, build_space
+from shtlab.space import QuasiMetricSpace, ball_table, build_space
 
 
 @pytest.fixture
@@ -17,6 +17,12 @@ def two_point() -> QuasiMetricSpace:
 @pytest.fixture
 def one_point() -> QuasiMetricSpace:
     return QuasiMetricSpace(np.zeros((1, 1)), np.ones(1))
+
+
+def table_balls(space: QuasiMetricSpace):
+    """Every canonical ball of the space, in table order."""
+    tbl = ball_table(space)
+    return [tbl.ball(r) for r in range(tbl.m)]
 
 
 def random_cloud(rng: np.random.Generator, n: int, dim: int = 1, masses: str = "random"):

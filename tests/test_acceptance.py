@@ -91,7 +91,7 @@ def test_criterion_5_luxemburg_and_tail_oracles():
         sp = random_cloud(rng, int(rng.integers(3, 11)), dim=1 + pairs % 2)
         tbl = ball_table(sp)
         f = 10.0 ** rng.uniform(-2, 2, sp.n)
-        ball = tbl.balls[int(rng.integers(0, tbl.m))]
+        ball = tbl.ball(int(rng.integers(0, tbl.m)))
         mask = ball_mask(sp, ball)
         w = sp.mass[mask]
         for q in (1.0, 1.5, 2.0, 3.0, 10.0):
@@ -119,7 +119,7 @@ def test_criterion_6_generalized_hoelder():
         tbl = ball_table(sp)
         f = 10.0 ** rng.uniform(-1.5, 1.5, sp.n)
         g = 10.0 ** rng.uniform(-1.5, 1.5, sp.n)
-        ball = tbl.balls[int(rng.integers(0, tbl.m))]
+        ball = tbl.ball(int(rng.integers(0, tbl.m)))
         mask = ball_mask(sp, ball)
         lhs = float((f * g * sp.mass)[mask].sum() / sp.mass[mask].sum())
         phi = phis[trial % len(phis)]

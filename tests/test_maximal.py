@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_cloud
+from conftest import random_cloud, table_balls
 from shtlab.errors import InputError
 from shtlab.maximal import (
     hl_maximal,
@@ -75,7 +75,7 @@ def test_restricted_examples(line4):
 def test_restricted_dominated_by_plain(line4):
     rng = np.random.default_rng(9)
     f = rng.uniform(0, 3, 4)
-    for ball in ball_table(line4).balls:
+    for ball in table_balls(line4):
         assert np.all(restricted_maximal(line4, f, ball) <= hl_maximal(line4, f) + 1e-15)
 
 
@@ -85,7 +85,7 @@ def test_restricted_table_matches_per_ball():
     f = 10.0 ** rng.uniform(-1, 1, 7)
     tbl = ball_table(sp)
     table = restricted_maximal_table(sp, f)
-    for i, ball in enumerate(tbl.balls):
+    for i, ball in enumerate(table_balls(sp)):
         assert np.allclose(table[i], restricted_maximal(sp, f, ball), rtol=1e-12)
 
 
@@ -113,7 +113,7 @@ def test_pointwise_lower_bounds(line4):
     # ... and in every case Mf(x) >= the average over the smallest canonical ball
     tbl = ball_table(line4)
     for x in range(4):
-        mask = ball_mask(line4, tbl.balls[int(np.argmax(tbl.centers == x))])
+        mask = ball_mask(line4, tbl.ball(int(np.argmax(tbl.centers == x))))
         small_avg = (f * line4.mass)[mask].sum() / line4.mass[mask].sum()
         assert mf[x] >= small_avg - 1e-15
 

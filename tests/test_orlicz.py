@@ -121,6 +121,10 @@ def test_unit_exponent_conjugate():
         u = conj.derivative(above)
         assert np.all(u > 0) and np.allclose(PowerLog(1.0, a).derivative(u), above, rtol=1e-13)
         assert np.allclose(conj.inverse(conj(above[1:])), above[1:], rtol=1e-12)
+    # u* near exp(29), far from the start at 0: the domain bracket holds it
+    u = PowerLog(1.0, 1.0).conjugate().derivative(30.0)
+    assert abs(math.log(u) - 29.0) < 0.1
+    assert PowerLog(1.0, 1.0).derivative(u) == pytest.approx(30.0, rel=1e-13)
     with pytest.raises(InputError, match="conjugate of powerlog:1:0 degenerates"):
         PowerLog(1.0, 0.0).conjugate()
 
@@ -129,10 +133,6 @@ def test_solver_failures_raise_numerical_error(monkeypatch, line4):
     conj = PowerLog(2.0, 1.0).conjugate()
     with pytest.raises(NumericalError, match=r"conjugate\(powerlog:1.0001:1\) argmax: root u"):
         PowerLog(1.0001, 1.0).conjugate()(1e8)  # log u* is near 1.8e5
-    monkeypatch.setattr(orlicz, "BRACKET_ITER", 1)
-    with pytest.raises(NumericalError, match=r"conjugate\(powerlog:1:1\) argmax: root not brack"):
-        PowerLog(1.0, 1.0).conjugate()(30.0)  # u* near exp(29), far from the start
-    monkeypatch.setattr(orlicz, "BRACKET_ITER", 600)
     monkeypatch.setattr(orlicz, "MAX_ITER", 2)
     for fn, name in ((conj, "argmax"), (conj.inverse, "inverse")):
         with pytest.raises(NumericalError, match=rf"powerlog:2:1\) {name}: Newton solve did not"):
@@ -259,7 +259,7 @@ def test_luxemburg_matches_qmean_oracle():
         sp = random_cloud(rng, int(rng.integers(3, 10)), dim=1 + trial % 2)
         tbl = ball_table(sp)
         f = 10.0 ** rng.uniform(-2, 2, sp.n)
-        ball = tbl.balls[int(rng.integers(0, tbl.m))]
+        ball = tbl.ball(int(rng.integers(0, tbl.m)))
         mask = ball_mask(sp, ball)
         for q in (1.0, 1.5, 2.0, 3.0, 10.0):
             got = luxemburg_norm(sp, f, ball, Power(q))
@@ -387,7 +387,7 @@ def test_generalized_holder_local():
         tbl = ball_table(sp)
         f = 10.0 ** rng.uniform(-1.5, 1.5, sp.n)
         g = 10.0 ** rng.uniform(-1.5, 1.5, sp.n)
-        ball = tbl.balls[int(rng.integers(0, tbl.m))]
+        ball = tbl.ball(int(rng.integers(0, tbl.m)))
         mask = ball_mask(sp, ball)
         lhs = float((f * g * sp.mass)[mask].sum() / sp.mass[mask].sum())
         for phi in (Power(2.0), Power(1.5), PowerLog(2.0, 1.0)):
@@ -427,6 +427,15 @@ def test_alpha_p_powerlog_against_quadrature():
 def test_alpha_p_powerlog_divergent():
     assert alpha_p(PowerLog(2.0, 1.0), 2.0) == math.inf
     assert alpha_p(PowerLog(3.0, 0.5), 2.0) == math.inf
+
+
+def test_alpha_p_overflow_is_a_numerical_error(monkeypatch):
+    assert alpha_p(PowerLog(1.5, 50.0), 2.0) == pytest.approx(6.8486e79, rel=1e-4)
+    with pytest.raises(NumericalError, match="tail integral of powerlog:1.5:200 at p = 2: .*overflows"):
+        alpha_p(PowerLog(1.5, 200.0), 2.0)  # (u+1)**200 leaves the float range
+    monkeypatch.setattr(orlicz.integrate, "quad", lambda *args, **kwargs: (math.nan, 0.0))
+    with pytest.raises(NumericalError, match="powerlog:1.5:1 at p = 2: remainder not certified"):
+        alpha_p(PowerLog(1.5, 1.0), 2.0)
 
 
 def test_alpha_p_numeric_conjugate_unsupported():

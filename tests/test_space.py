@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import random_cloud
+from conftest import random_cloud, table_balls
 from shtlab.errors import InputError
 from shtlab.space import (
     Ball,
@@ -174,6 +174,28 @@ def test_doubling_constant_matches_per_center_products():
         assert space_profile(sp).c_mu == per_center_c_mu(sp), item["name"]
 
 
+def dense_kappa(space):
+    """kappa from the full (x, y, z) array of ratios, diagonal masked out."""
+    d, n = space.dist, space.n
+    if n < 2:
+        return 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = d[:, :, None] / (d[:, None, :] + d.T[None, :, :])
+    ratio[np.arange(n), np.arange(n)] = 0.0
+    return max(1.0, float(np.max(ratio)))
+
+
+def test_kappa_equals_dense_formula(monkeypatch):
+    # Bit for bit, as c_mu: theta, eta and the level base a all read kappa.
+    snowflake = np.abs(np.arange(9)[:, None] - np.arange(9)[None, :]).astype(float) ** 1.7
+    spaces = [build_space(item["space"]) for item in default_manifest(20260810, 0, 400, 0)["cz"]]
+    spaces.append(QuasiMetricSpace(snowflake, np.ones(9)))
+    for sp in spaces:
+        assert space_profile(sp).kappa == dense_kappa(sp)
+    monkeypatch.setattr("shtlab.space.WORKSPACE_ELEMENTS", 2 * 9 * 9)  # chunks of 2 rows
+    assert space_profile(spaces[-1]).kappa == dense_kappa(spaces[-1]) == pytest.approx(2**0.7, rel=1e-12)
+
+
 def test_kappa_certifies_quasitriangle():
     rng = np.random.default_rng(5)
     for _ in range(5):
@@ -215,17 +237,17 @@ def test_ball_requires_positive_radius(line4):
 def test_enumerate_balls_counts(line4, two_point, one_point):
     # One ball per distinct achievable member set.  On the 4-point line the
     # middle centers realize only sets of 1, 3 and 4 points, so 4+3+3+4 = 14.
-    assert len(ball_table(line4).balls) == 14
-    assert ball_table(one_point).balls == [Ball(0, 1.0)]
-    balls2 = ball_table(two_point).balls
+    assert ball_table(line4).m == 14
+    assert table_balls(one_point) == [Ball(0, 1.0)]
+    balls2 = table_balls(two_point)
     assert len(balls2) == 4
     sets = [tuple(ball_members(two_point, b)) for b in balls2]
     assert sets == [(0,), (0, 1), (1,), (0, 1)]
 
 
 def test_enumeration_is_deterministic_and_sorted(line4):
-    balls = ball_table(line4).balls
-    assert balls == ball_table(build_space({"type": "grid", "shape": [4]})).balls
+    balls = table_balls(line4)
+    assert balls == table_balls(build_space({"type": "grid", "shape": [4]}))
     keys = [(b.center, b.radius) for b in balls]
     assert keys == sorted(keys)
     assert all(type(b.center) is int and type(b.radius) is float for b in balls)
@@ -274,7 +296,7 @@ def test_engulfing_clean_on_random_spaces():
 def test_engulfing_violations_match_brute_force(line4):
     # engulf = 1 is too small on the line: a neighbour's ball escapes B_2
     prof = SpaceProfile(kappa=1.0, c_mu=3.0, d_mu=math.log2(3.0), engulf=1.0)
-    balls = ball_table(line4).balls
+    balls = table_balls(line4)
     expected = []
     for b2 in balls:
         target = ball_mask(line4, dilate_ball(b2, prof.engulf))

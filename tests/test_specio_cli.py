@@ -361,6 +361,25 @@ def test_csv_unsupported_elsewhere(files, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "command, option",
+    [("profile", ["--seed", "1"]), ("constants", ["--seed", "1"]), ("cz", ["--seed", "1"]),
+     ("cz", ["--format", "csv"]), ("verify", ["--format", "csv"])],
+    ids=lambda v: v if isinstance(v, str) else " ".join(v),
+)
+def test_options_a_command_does_not_read_exit_2(files, capsys, command, option):
+    args = {
+        "profile": ["--space", files["space"]],
+        "constants": ["--space", files["space"], "--w", files["ones"], "--sigma", files["ones"],
+                      "--p", "2"],
+        "cz": ["--space", files["space"], "--f", files["spike"], "--lambda", "4"],
+        "verify": ["--manifest", files["space"]],
+    }[command]
+    assert main([command, *args, *option]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments" in captured.err
+
+
 def test_verify_command_small_manifest(tmp_path, capsys):
     from shtlab.suite import default_manifest
 

@@ -3,7 +3,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from conftest import random_cloud
+from conftest import random_cloud, table_balls
 from shtlab.errors import InputError
 from shtlab.maximal import orlicz_maximal, restricted_maximal
 from shtlab.orlicz import Power, PowerLog
@@ -28,7 +28,7 @@ ATOM4 = np.array([1.0, 1.0, 1.0, 9.0])
 
 def oracle_two_weight(space, w, sigma, p):
     best = 0.0
-    for b in ball_table(space).balls:
+    for b in table_balls(space):
         m = ball_mask(space, b)
         mu = space.mass[m].sum()
         best = max(
@@ -40,7 +40,7 @@ def oracle_two_weight(space, w, sigma, p):
 
 def oracle_fujii_wilson(space, w):
     best = 0.0
-    for b in ball_table(space).balls:
+    for b in table_balls(space):
         m = ball_mask(space, b)
         wb = (w * space.mass)[m].sum()
         if wb == 0:
@@ -52,7 +52,7 @@ def oracle_fujii_wilson(space, w):
 
 def oracle_sawyer(space, w, sigma, p):
     best = 0.0
-    for b in ball_table(space).balls:
+    for b in table_balls(space):
         m = ball_mask(space, b)
         sb = (sigma * space.mass)[m].sum()
         if sb == 0:
@@ -67,7 +67,7 @@ def oracle_bump_power(space, w, sigma, p, q):
     pc = p / (p - 1.0)
     best = 0.0
     g = sigma ** (1.0 / pc)
-    for b in ball_table(space).balls:
+    for b in table_balls(space):
         m = ball_mask(space, b)
         mu = space.mass[m].sum()
         norm = ((g[m] ** q * space.mass[m]).sum() / mu) ** (1.0 / q)
@@ -253,7 +253,7 @@ def test_dilated_matches_ball_mask():
     tbl = ball_table(sp)
     for lam in (1.0, 1.5, 2.0, 7.25):
         dil = tbl.dilated(lam)
-        for b, ball in enumerate(tbl.balls):
+        for b, ball in enumerate(table_balls(sp)):
             assert np.array_equal(dil[b], ball_mask(sp, dilate_ball(ball, lam)))
     assert np.array_equal(tbl.dilated(1.0), tbl.member)
 

@@ -33,12 +33,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, *, space=True, seed=False, csv=False):
+    def common(sp, *, space=True, csv=False):
         if space:
             sp.add_argument("--space", required=True, help="space spec JSON file")
         sp.add_argument("--out", help="report output path (default: stdout)")
-        if seed:
-            sp.add_argument("--seed", type=int, default=0, help="seed for randomized behavior")
         if csv:
             sp.add_argument("--format", choices=["json", "csv"], default="json")
 
@@ -61,7 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--allow-small-a", action="store_true", help="accept a below the disjointing requirement")
 
     sp = sub.add_parser("opnorm", help="operator-norm lower-bound search")
-    common(sp, seed=True)
+    common(sp)
+    sp.add_argument("--seed", type=int, default=0, help="seed for randomized behavior")
     sp.add_argument("--w", required=True)
     sp.add_argument("--sigma", required=True)
     sp.add_argument("--p", type=float, required=True)
@@ -72,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sp = sub.add_parser("verify", help="run a manifest of suite instances")
-    common(sp, space=False, seed=True)
+    common(sp, space=False)
     sp.add_argument("--manifest", required=True, help="suite manifest JSON file")
     return parser
 
@@ -206,8 +205,6 @@ def _cmd_verify(args) -> int:
     manifest = load_json(args.manifest)
     if not isinstance(manifest, dict):
         raise InputError("manifest must be a JSON object")
-    if args.seed and "seed" not in manifest:
-        manifest["seed"] = args.seed
     report, _ = run_suite(manifest)
     _emit(report, args)
     return 0 if report["summary"]["violations"] == 0 else 1

@@ -29,7 +29,7 @@ disjoint across all levels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from .space import (
     as_field,
     ball_mask,
     ball_table,
-    dilate_ball,
 )
 
 __all__ = [
@@ -114,7 +113,7 @@ class CZDecomposition:
     level: float
     omega: np.ndarray                    # sorted indices of {x in B : Mf > lam}
     selected: list[Ball]
-    selected_members: list[np.ndarray] = field(default_factory=list)
+    selected_members: list[np.ndarray]
 
     @property
     def is_empty(self) -> bool:
@@ -130,8 +129,6 @@ def _select_level(space, tbl, base_mask, mf, avg, lam):
     """Maximal-radius candidate per point of Omega, then greedy Vitali."""
     omega_mask = base_mask & (mf > lam)
     omega = np.nonzero(omega_mask)[0]
-    if omega.size == 0:
-        return omega, []
     # per point of Omega, the first admissible ball containing it in the
     # maximal-radius order (radius descending, ties to the smallest center)
     order = tbl.by_radius
@@ -143,7 +140,7 @@ def _select_level(space, tbl, base_mask, mf, avg, lam):
         if not (tbl.member[r] & union).any():
             kept.append(int(r))
             union |= tbl.member[r]
-    return omega, [(tbl.ball(r), np.nonzero(tbl.member[r])[0]) for r in kept]
+    return omega, [tbl.ball(r) for r in kept], [np.nonzero(tbl.member[r])[0] for r in kept]
 
 
 def cz_decompose(
@@ -165,13 +162,13 @@ def cz_decompose(
     tbl = ball_table(space)
     mf = hl_maximal(space, f)
     avg = tbl.averages(f)
-    omega, pairs = _select_level(space, tbl, base_mask, mf, avg, lam)
+    omega, balls, members = _select_level(space, tbl, base_mask, mf, avg, lam)
     return CZDecomposition(
         base_ball=base_ball,
         level=float(lam),
         omega=omega,
-        selected=[b for b, _ in pairs],
-        selected_members=[m for _, m in pairs],
+        selected=balls,
+        selected_members=members,
     )
 
 
@@ -198,51 +195,52 @@ def verify_cz_properties(
     slack = 1e-9 * abs(dec.level)
     omega_mask = np.zeros(space.n, dtype=bool)
     omega_mask[dec.omega] = True
-    masks = [np.isin(np.arange(space.n), m) for m in dec.selected_members]
+    balls = dec.selected
+    masks = np.zeros((len(balls), space.n), dtype=bool)  # row i: members of B_i
+    for mask, members in zip(masks, dec.selected_members):
+        mask[members] = True
+    centers = np.array([b.center for b in balls], dtype=int)
+    radii = np.array([b.radius for b in balls], dtype=float)
 
-    for i in range(len(masks)):
-        for j in range(i + 1, len(masks)):
-            if (masks[i] & masks[j]).any():
-                violations.append(
-                    {"kind": "overlap", "balls": (dec.selected[i], dec.selected[j])}
-                )
+    # (i, j) with i < j in row-major order, as a nested loop would visit them;
+    # a bool product is the "or" of "and"s, so [i, j] says B_i meets B_j
+    for i, j in np.argwhere(np.triu(masks @ masks.T, 1)):
+        violations.append({"kind": "overlap", "balls": (balls[i], balls[j])})
 
-    covered = np.zeros(space.n, dtype=bool)
-    for ball, mask in zip(dec.selected, masks):
-        for y in np.nonzero(mask & ~omega_mask)[0]:
-            violations.append(
-                {"kind": "selected_outside_omega", "ball": ball, "point": int(y)}
-            )
-        covered |= ball_mask(space, dilate_ball(ball, config.theta))
+    for i, y in np.argwhere(masks & ~omega_mask):
+        violations.append(
+            {"kind": "selected_outside_omega", "ball": balls[i], "point": int(y)}
+        )
+    covered = (space.dist[centers] < (radii * config.theta)[:, None]).any(axis=0)
     for x in dec.omega[~covered[dec.omega]]:
         violations.append({"kind": "uncovered_point", "point": int(x)})
 
     fm = f * space.mass
-    for ball, mask in zip(dec.selected, masks):
+    for ball, mask in zip(balls, masks):
         avg = float(fm[mask].sum() / space.mass[mask].sum())
         if not avg > dec.level - slack:
             violations.append({"kind": "low_average", "ball": ball, "average": avg})
 
+    # [i, r]: table ball r contains B_i (no member of B_i lies outside it) and
+    # has radius >= eta * r(B_i)
+    big = ~(masks @ ~tbl.member.T) & (tbl.radii >= (config.eta * radii)[:, None])
     undilated = 0
     eta_dilates = tbl.dilated(config.eta)
-    for ball, mask in zip(dec.selected, masks):
-        contains = ~(tbl.member & ~mask[None, :]).any(axis=1)  # member sets >= mask
-        big = contains & (tbl.radii >= config.eta * ball.radius)
-        for r in np.nonzero(big)[0]:
-            outer = eta_dilates[r]
-            avg_out = float(fm[outer].sum() / space.mass[outer].sum())
-            if avg_out > dec.level + slack:
-                violations.append(
-                    {
-                        "kind": "window_violated",
-                        "ball": ball,
-                        "enclosing": tbl.ball(r),
-                        "average": avg_out,
-                    }
-                )
-            plain = float(fm[tbl.member[r]].sum() / tbl.mu[r])
-            if plain > dec.level:
-                undilated += 1
+    for i, r in np.argwhere(big):
+        outer = eta_dilates[r]
+        avg_out = float(fm[outer].sum() / space.mass[outer].sum())
+        if avg_out > dec.level + slack:
+            violations.append(
+                {
+                    "kind": "window_violated",
+                    "ball": balls[i],
+                    "enclosing": tbl.ball(r),
+                    "average": avg_out,
+                }
+            )
+        plain = float(fm[tbl.member[r]].sum() / tbl.mu[r])
+        if plain > dec.level:
+            undilated += 1
     return {"violations": violations, "undilated_exceedances": undilated}
 
 
@@ -280,7 +278,7 @@ def multi_level_decompose(
     config: CZConfig,
     allow_small_a: bool = False,
 ) -> LevelFamily:
-    """Decompositions at every level a**k, k >= k0, until the level set empties."""
+    """Decompositions at every level a**k from k0 up to the first empty level set."""
     f = as_field(space, f)
     need = 2.0 * (4.0 * config.theta * config.eta) ** config.d_mu
     if not allow_small_a and config.a < need:
@@ -296,29 +294,28 @@ def multi_level_decompose(
     tbl = ball_table(space)
     mf = hl_maximal(space, f)
     avg = tbl.averages(f)
+    # Omega_k is empty exactly when a**k >= max Mf over the base
+    k_end = _starting_level(float(mf[base_mask].max()), config.a)
+    if k_end - k0 > _MAX_LEVELS:
+        raise InputError(
+            f"level base a={config.a!r} gives {k_end - k0} levels, more than {_MAX_LEVELS}"
+        )
 
     entries = []
-    k = k0
-    while True:
-        if k - k0 > _MAX_LEVELS:
-            raise RuntimeError("level iteration failed to terminate")
+    for k in range(k0, k_end):
         lam = config.a**k
-        omega, pairs = _select_level(space, tbl, base_mask, mf, avg, lam)
-        if omega.size == 0:
-            break
+        omega, balls, members = _select_level(space, tbl, base_mask, mf, avg, lam)
         next_mask = base_mask & (mf > config.a ** (k + 1))
-        pruned = [m[~next_mask[m]] for _, m in pairs]
         entries.append(
             LevelEntry(
                 k=k,
                 level=float(lam),
                 omega=omega,
-                balls=[b for b, _ in pairs],
-                members=[m for _, m in pairs],
-                pruned=pruned,
+                balls=balls,
+                members=members,
+                pruned=[m[~next_mask[m]] for m in members],
             )
         )
-        k += 1
     return LevelFamily(base_ball=base_ball, k0=k0, base_average=base_avg, entries=entries)
 
 
@@ -339,19 +336,13 @@ def verify_disjointing(
     check_half = config.a >= 2.0 * (4.0 * config.theta * config.eta) ** config.d_mu
     mass = space.mass
 
-    omega_next_masks = []
-    for entry in fam.entries:
-        omega_mask = np.zeros(space.n, dtype=bool)
-        omega_mask[entry.omega] = True
-        omega_next_masks.append(omega_mask)
-    # Omega_{k+1} for the last processed level is empty by termination
-    omega_next_masks = omega_next_masks[1:] + [np.zeros(space.n, dtype=bool)]
-
+    # Omega_{k+1} is the next entry's Omega; after the last level it is empty
+    omega_next = [e.omega for e in fam.entries[1:]] + [np.empty(0, dtype=int)]
     seen = np.zeros(space.n, dtype=bool)
-    for entry, nxt in zip(fam.entries, omega_next_masks):
+    for entry, nxt in zip(fam.entries, omega_next):
         for ball, members, pruned in zip(entry.balls, entry.members, entry.pruned):
             mu_ball = float(mass[members].sum())
-            mu_cap = float(mass[members[nxt[members]]].sum())
+            mu_cap = float(mass[members[np.isin(members, nxt)]].sum())
             if not mu_cap < factor * mu_ball * (1.0 + grace):
                 violations.append(
                     {
@@ -374,9 +365,7 @@ def verify_disjointing(
                             "mu_pruned": mu_pruned,
                         }
                     )
-            overlap = np.zeros(space.n, dtype=bool)
-            overlap[pruned] = True
-            if (overlap & seen).any():
+            if seen[pruned].any():
                 violations.append({"kind": "pruned_overlap", "k": entry.k, "ball": ball})
-            seen |= overlap
+            seen[pruned] = True
     return {"violations": violations}

@@ -411,7 +411,8 @@ def alpha_p(
     Power(s): closed form 1/(p-s) for s < p.  PowerLog: substitution t = e^u
     gives int_0^inf e^{-(p-s)u} log(e+e^u)^a du, integrated on [0, U] with a
     certified remainder: for u >= 1, log(e+e^u) <= u+1, so the tail is at most
-    e^c c^{-(a+1)} Gamma(a+1, c(U+1)) with c = p-s.  A float overflow, or a
+    e^c c^{-(a+1)} Gamma(a+1, c(U+1)) with c = p-s.  Integrand and bound are
+    formed in log space; a bound that underflows counts as 0.  An overflow, or a
     remainder still uncertified after 200 doublings of U, raises NumericalError.
     """
     p_conjugate(p)  # validates the exponent range
@@ -424,7 +425,7 @@ def alpha_p(
         c = p - s
 
         def integrand(u):
-            return math.exp(-c * u) * float(np.logaddexp(1.0, u)) ** a
+            return math.exp(-c * u + a * math.log(np.logaddexp(1.0, u)))
 
         what = f"tail integral of {phi!r} at p = {p:g}"
         upper = max(2.0, 4.0 / c)
@@ -434,10 +435,10 @@ def alpha_p(
                     integrand, 0.0, upper, epsabs=0.0, epsrel=1e-11, limit=400
                 )
                 tail_bound = (
-                    math.exp(c) * c ** -(a + 1.0) * special.gammaincc(a + 1.0, c * (upper + 1.0))
-                    * special.gamma(a + 1.0)
+                    math.exp(c - (a + 1.0) * math.log(c) + special.gammaln(a + 1.0))
+                    * special.gammaincc(a + 1.0, c * (upper + 1.0))
                 )
-            except OverflowError as exc:  # a Python float power
+            except OverflowError as exc:  # math.exp beyond the float range
                 raise NumericalError(f"{what}: the integrand or its tail bound overflows") from exc
             if tail_bound <= 0.5 * QUAD_REL_TOL * main:
                 return main + 0.5 * tail_bound

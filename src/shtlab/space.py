@@ -346,15 +346,21 @@ def check_engulfing(space: QuasiMetricSpace, profile: SpaceProfile) -> list[tupl
 
     For every pair with nonempty intersection and r(B1) <= r(B2) asserts
     members(B1) subset-of members(engulf * B2).  A nonempty return value
-    signals a profiling bug, not bad user input.
+    signals a profiling bug, not bad user input.  The (m, m) pair test runs in
+    row blocks within the workspace budget.
     """
     tbl = ball_table(space)
     member = tbl.member.astype(float)
     outside = (~tbl.dilated(profile.engulf)).astype(float)
-    # [i, j]: B_i meets B_j, and B_i has a point outside engulf * B_j
-    bad = ((member @ member.T) > 0) & ((member @ outside.T) > 0)
-    bad &= tbl.radii[:, None] <= tbl.radii[None, :]
-    return [(tbl.ball(i), tbl.ball(j)) for j, i in np.argwhere(bad.T)]
+    pairs = []
+    chunk = rows_per_chunk(tbl.m)
+    for start in range(0, tbl.m, chunk):
+        rows = slice(start, start + chunk)
+        # [j, i]: B_j meets B_i, and B_i has a point outside engulf * B_j
+        bad = ((member[rows] @ member.T) > 0) & ((outside[rows] @ member.T) > 0)
+        bad &= tbl.radii[None, :] <= tbl.radii[rows, None]
+        pairs += [(tbl.ball(i), tbl.ball(start + j)) for j, i in np.argwhere(bad)]
+    return pairs
 
 
 def check_dilation_bounds(

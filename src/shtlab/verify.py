@@ -181,12 +181,8 @@ def opnorm_lower_bound(
             best_f = f.copy()
 
     if "indicators" in strategies:
-        seen = set()
-        for b in range(tbl.m):
-            key = tbl.member[b].tobytes()
-            if key in seen:
-                continue
-            seen.add(key)
+        # each distinct member set once, at its first row in table order
+        for b in np.sort(np.unique(tbl.member, axis=0, return_index=True)[1]):
             consider(tbl.member[b].astype(float))
     if "random" in strategies:
         if rng is None:

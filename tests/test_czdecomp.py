@@ -5,6 +5,9 @@ import pytest
 
 from conftest import random_cloud
 from shtlab.czdecomp import (
+    CZDecomposition,
+    LevelEntry,
+    LevelFamily,
     cz_config,
     cz_decompose,
     multi_level_decompose,
@@ -14,7 +17,18 @@ from shtlab.czdecomp import (
 )
 from shtlab.errors import InputError, PreconditionError
 from shtlab.maximal import hl_maximal
-from shtlab.space import QuasiMetricSpace, SpaceProfile, ball_mask, space_profile, whole_space_ball
+from shtlab.space import (
+    Ball,
+    QuasiMetricSpace,
+    SpaceProfile,
+    ball_mask,
+    ball_members,
+    ball_table,
+    build_space,
+    dilate_ball,
+    space_profile,
+    whole_space_ball,
+)
 from shtlab.specio import parse_space, parse_weight
 from shtlab.suite import default_manifest
 
@@ -141,6 +155,138 @@ def test_coverage_sandwich_measure_bound():
         assert dil <= (2 * cfg.theta) ** prof.d_mu * plain * (1 + 1e-12)
 
 
+# ------------------------------------------------ hand-built faulty families
+
+
+@pytest.fixture
+def line8():
+    return build_space({"type": "grid", "shape": [8]})
+
+
+def check_hand_built(space, f, level, omega, balls):
+    """The checker's report on the given balls, whatever the selection would pick."""
+    dec = CZDecomposition(
+        base_ball=whole_space_ball(space),
+        level=level,
+        omega=np.array(omega, dtype=int),
+        selected=balls,
+        selected_members=[ball_members(space, b) for b in balls],
+    )
+    return verify_cz_properties(space, dec, np.array(f, dtype=float), cz_config(space_profile(space)))
+
+
+def test_overlapping_balls_are_named_pairwise(line8):
+    balls = [Ball(0, 2.0), Ball(1, 2.0), Ball(2, 2.0)]  # {0,1}, {0,1,2}, {1,2,3}
+    report = check_hand_built(line8, [9, 9, 9, 9, 0, 0, 0, 0], 5.0, [0, 1, 2, 3], balls)
+    assert report["violations"] == [
+        {"kind": "overlap", "balls": (balls[0], balls[1])},
+        {"kind": "overlap", "balls": (balls[0], balls[2])},
+        {"kind": "overlap", "balls": (balls[1], balls[2])},
+    ]
+
+
+def test_selected_points_outside_omega_are_named(line8):
+    balls = [Ball(0, 2.0), Ball(4, 2.0)]  # {0,1}, {3,4,5}
+    report = check_hand_built(line8, [9, 9, 0, 9, 9, 9, 0, 0], 6.0, [0, 4], balls)
+    assert report["violations"] == [
+        {"kind": "selected_outside_omega", "ball": balls[0], "point": 1},
+        {"kind": "selected_outside_omega", "ball": balls[1], "point": 3},
+        {"kind": "selected_outside_omega", "ball": balls[1], "point": 5},
+    ]
+
+
+def test_points_beyond_the_theta_dilates_are_uncovered(line8):
+    # theta = 5 on the line, so theta * B(0, 1) = B(0, 5) stops before 5
+    report = check_hand_built(line8, [9, 0, 0, 0, 0, 0, 0, 0], 4.0, [0, 5, 7], [Ball(0, 1.0)])
+    assert report["violations"] == [
+        {"kind": "uncovered_point", "point": 5},
+        {"kind": "uncovered_point", "point": 7},
+    ]
+
+
+def test_a_ball_at_or_below_the_level_is_named(line8):
+    report = check_hand_built(line8, [9, 0, 1, 0, 0, 0, 0, 0], 4.0, [0, 2], [Ball(0, 1.0), Ball(2, 1.0)])
+    assert report["violations"] == [{"kind": "low_average", "ball": Ball(2, 1.0), "average": 1.0}]
+    assert report["undilated_exceedances"] == 0
+
+
+def test_enclosing_balls_whose_eta_dilate_exceeds_the_level(line8):
+    # Every canonical ball containing B_i = B(0, 1) with radius >= eta = 7 has
+    # the whole line as its eta-dilate, whose average (2 + 30) / 8 exceeds 1.
+    report = check_hand_built(line8, [2, 0, 0, 0, 0, 0, 0, 30], 1.0, [0], [Ball(0, 1.0)])
+    enclosing = [(0, 7.0), (0, 14.0), (1, 12.0), (2, 10.0), (3, 8.0), (4, 8.0), (5, 10.0),
+                 (6, 12.0), (7, 14.0)]
+    assert report["violations"] == [
+        {"kind": "window_violated", "ball": Ball(0, 1.0), "enclosing": Ball(c, r), "average": 4.0}
+        for c, r in enclosing
+    ]
+    # all but B(0, 7) = {0, ..., 6}, which misses the spike, exceed it themselves
+    assert report["undilated_exceedances"] == 8
+
+
+def loop_oracle(space, dec, f, config):
+    """The checker, ball by ball and pair by pair, from Ball objects."""
+    tbl = ball_table(space)
+    slack = 1e-9 * abs(dec.level)
+    omega_mask = np.zeros(space.n, dtype=bool)
+    omega_mask[dec.omega] = True
+    masks = [np.isin(np.arange(space.n), m) for m in dec.selected_members]
+    violations = []
+    for i in range(len(masks)):
+        for j in range(i + 1, len(masks)):
+            if (masks[i] & masks[j]).any():
+                violations.append({"kind": "overlap", "balls": (dec.selected[i], dec.selected[j])})
+    covered = np.zeros(space.n, dtype=bool)
+    for ball, mask in zip(dec.selected, masks):
+        for y in np.nonzero(mask & ~omega_mask)[0]:
+            violations.append({"kind": "selected_outside_omega", "ball": ball, "point": int(y)})
+        covered |= ball_mask(space, dilate_ball(ball, config.theta))
+    for x in dec.omega[~covered[dec.omega]]:
+        violations.append({"kind": "uncovered_point", "point": int(x)})
+    fm = f * space.mass
+    for ball, mask in zip(dec.selected, masks):
+        avg = float(fm[mask].sum() / space.mass[mask].sum())
+        if not avg > dec.level - slack:
+            violations.append({"kind": "low_average", "ball": ball, "average": avg})
+    undilated = 0
+    for ball, mask in zip(dec.selected, masks):
+        for r in range(tbl.m):
+            outer = ball_mask(space, dilate_ball(tbl.ball(r), config.eta))
+            inner = ball_mask(space, tbl.ball(r))
+            if (mask & ~inner).any() or tbl.radii[r] < config.eta * ball.radius:
+                continue
+            avg_out = float(fm[outer].sum() / space.mass[outer].sum())
+            if avg_out > dec.level + slack:
+                violations.append(
+                    {"kind": "window_violated", "ball": ball, "enclosing": tbl.ball(r), "average": avg_out}
+                )
+            undilated += float(fm[inner].sum() / tbl.mu[r]) > dec.level
+    return {"violations": violations, "undilated_exceedances": undilated}
+
+
+def test_checker_matches_a_loop_oracle_on_random_selections():
+    rng = np.random.default_rng(2026)
+    kinds = set()
+    for trial in range(40):
+        sp = random_cloud(rng, int(rng.integers(3, 10)), dim=1 + trial % 2)
+        tbl = ball_table(sp)
+        rows = rng.choice(tbl.m, size=int(rng.integers(0, 6)), replace=False)
+        dec = CZDecomposition(
+            base_ball=whole_space_ball(sp),
+            level=float(rng.uniform(0.5, 2.5)),
+            omega=np.flatnonzero(rng.random(sp.n) < 0.5),
+            selected=[tbl.ball(r) for r in rows],
+            selected_members=[np.flatnonzero(tbl.member[r]) for r in rows],
+        )
+        f = rng.uniform(0.0, 3.0, sp.n)
+        cfg = cz_config(space_profile(sp))
+        report = verify_cz_properties(sp, dec, f, cfg)
+        assert report == loop_oracle(sp, dec, f, cfg)
+        kinds |= {v["kind"] for v in report["violations"]}
+    assert kinds == {"overlap", "selected_outside_omega", "uncovered_point", "low_average",
+                     "window_violated"}
+
+
 # ------------------------------------------------------------ multi level
 
 
@@ -177,6 +323,56 @@ def test_zero_field_rejected(line4):
         multi_level_decompose(line4, whole_space_ball(line4), np.zeros(4), cfg)
 
 
+def level_entry(space, k, omega, balls, pruned):
+    return LevelEntry(
+        k=k,
+        level=4.0**k,
+        omega=np.array(omega, dtype=int),
+        balls=balls,
+        members=[ball_members(space, b) for b in balls],
+        pruned=[np.array(e, dtype=int) for e in pruned],
+    )
+
+
+def hand_built_family(space, *entries):
+    cfg = cz_config(space_profile(space))  # the default a meets the half-mass requirement
+    fam = LevelFamily(base_ball=whole_space_ball(space), k0=entries[0].k, base_average=1.0,
+                      entries=list(entries))
+    return verify_disjointing(space, fam, cfg), cfg
+
+
+def test_a_ball_mostly_inside_the_next_level_set_breaks_the_overlap_bound(line8):
+    # the factor (4*theta*eta)**d_mu / a is about 1/2 on the line, and
+    # Omega_{k+1} holds all of B(0, 2) = {0, 1}
+    report, cfg = hand_built_family(
+        line8,
+        level_entry(line8, 1, [0, 1, 2], [Ball(0, 2.0), Ball(2, 1.0)], [[0, 1], [2]]),
+        level_entry(line8, 2, [0, 1], [], []),
+    )
+    factor = (4.0 * cfg.theta * cfg.eta) ** cfg.d_mu / cfg.a
+    assert report["violations"] == [
+        {"kind": "overlap_bound", "k": 1, "ball": Ball(0, 2.0), "mu_overlap": 2.0, "bound": factor * 2.0}
+    ]
+
+
+def test_a_pruned_set_below_half_the_ball_is_named(line8):
+    report, _ = hand_built_family(
+        line8, level_entry(line8, 1, [0, 1, 2, 5], [Ball(0, 3.0), Ball(5, 1.0)], [[0], [5]])
+    )
+    assert report["violations"] == [
+        {"kind": "half_mass", "k": 1, "ball": Ball(0, 3.0), "mu_ball": 3.0, "mu_pruned": 1.0}
+    ]
+
+
+def test_pruned_sets_meeting_across_levels_are_named(line8):
+    report, _ = hand_built_family(
+        line8,
+        level_entry(line8, 1, [0, 1, 4], [Ball(0, 2.0), Ball(4, 1.0)], [[0, 1], [4]]),
+        level_entry(line8, 2, [6], [Ball(6, 2.0)], [[1, 5, 6, 7]]),
+    )
+    assert report["violations"] == [{"kind": "pruned_overlap", "k": 2, "ball": Ball(6, 2.0)}]
+
+
 def cascade_space(n=22, ratio=2.0, growth=4.0):
     pts = ratio ** np.arange(n)
     dist = np.abs(pts[:, None] - pts[None, :])
@@ -191,6 +387,10 @@ def test_cascade_produces_multiple_levels():
     f[0] = 1.0
     fam = multi_level_decompose(sp, whole_space_ball(sp), f, cfg)
     assert len(fam.entries) >= 2
+    # consecutive levels, each nonempty, up to the first empty level set
+    assert [e.k for e in fam.entries] == list(range(fam.k0, fam.k0 + len(fam.entries)))
+    assert all(e.omega.size for e in fam.entries)
+    assert hl_maximal(sp, f).max() <= cfg.a ** (fam.entries[-1].k + 1)
     report = verify_disjointing(sp, fam, cfg)
     assert report["violations"] == []
     # starting bracket

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import math
@@ -308,6 +309,31 @@ def test_engulfing_violations_match_brute_force(line4):
     got = check_engulfing(line4, prof)
     assert len(got) == 14
     assert got == expected
+
+
+def dense_engulfing(space, profile):
+    """check_engulfing's pair test as one (m, m) product."""
+    tbl = ball_table(space)
+    member = tbl.member.astype(float)
+    outside = (~tbl.dilated(profile.engulf)).astype(float)
+    bad = ((member @ member.T) > 0) & ((member @ outside.T) > 0)
+    bad &= tbl.radii[:, None] <= tbl.radii[None, :]
+    return [(tbl.ball(i), tbl.ball(j)) for j, i in np.argwhere(bad.T)]
+
+
+def test_engulfing_in_row_blocks_equals_one_product(monkeypatch, line4):
+    rng = np.random.default_rng(41)
+    cases = [(line4, SpaceProfile(kappa=1.0, c_mu=3.0, d_mu=math.log2(3.0), engulf=1.0))]
+    for trial in range(6):
+        sp = random_cloud(rng, int(rng.integers(3, 10)), dim=1 + trial % 2)
+        prof = space_profile(sp)
+        cases += [(sp, prof), (sp, dataclasses.replace(prof, engulf=1.0))]
+    for sp, prof in cases:
+        expected = dense_engulfing(sp, prof)
+        monkeypatch.setattr("shtlab.space.WORKSPACE_ELEMENTS", 2 * ball_table(sp).m)  # 2-row blocks
+        assert check_engulfing(sp, prof) == expected
+        monkeypatch.undo()
+    assert len(dense_engulfing(*cases[0])) == 14
 
 
 def test_dilation_bounds_hold():

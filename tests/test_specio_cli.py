@@ -1,6 +1,7 @@
 import contextlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -320,6 +321,16 @@ def test_cz_non_finite_option_exits_2(files, capsys, option):
     assert code == 2 and out == ""
 
 
+def test_cz_level_base_near_one_exits_2(files, capsys):
+    # a**k climbs from the base average 2 to max Mf = 8 in about 1.4e8 levels,
+    # which are counted and refused before any is decomposed
+    assert main(["cz", "--space", files["space"], "--f", files["spike"], "--a", "1.00000001",
+                 "--allow-small-a"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.search(r"a=1\.00000001 gives \d+ levels, more than 1000000", captured.err)
+
+
 def test_cz_violations_write_balls(files, capsys, monkeypatch):
     import shtlab.cli as cli
 
@@ -364,7 +375,7 @@ def test_csv_unsupported_elsewhere(files, capsys):
 @pytest.mark.parametrize(
     "command, option",
     [("profile", ["--seed", "1"]), ("constants", ["--seed", "1"]), ("cz", ["--seed", "1"]),
-     ("cz", ["--format", "csv"]), ("verify", ["--format", "csv"])],
+     ("cz", ["--format", "csv"]), ("verify", ["--format", "csv"]), ("verify", ["--seed", "1"])],
     ids=lambda v: v if isinstance(v, str) else " ".join(v),
 )
 def test_options_a_command_does_not_read_exit_2(files, capsys, command, option):

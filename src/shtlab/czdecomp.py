@@ -263,11 +263,15 @@ class LevelFamily:
 
 
 def _starting_level(avg: float, a: float) -> int:
+    """Least k with a**k >= avg; an a**k beyond the float range raises InputError naming a."""
     k0 = math.ceil(math.log(avg) / math.log(a))
-    while a ** (k0 - 1) >= avg:
-        k0 -= 1
-    while a**k0 < avg:
-        k0 += 1
+    try:
+        while a ** (k0 - 1) >= avg:
+            k0 -= 1
+        while a**k0 < avg:
+            k0 += 1
+    except OverflowError:
+        raise InputError(f"level base a={a!r}: a**{k0} exceeds the float range") from None
     return k0
 
 
@@ -294,7 +298,8 @@ def multi_level_decompose(
     tbl = ball_table(space)
     mf = hl_maximal(space, f)
     avg = tbl.averages(f)
-    # Omega_k is empty exactly when a**k >= max Mf over the base
+    # Omega_k is empty exactly when a**k >= max Mf over the base; a**k_end was
+    # computed here, so no power in the level loop can overflow
     k_end = _starting_level(float(mf[base_mask].max()), config.a)
     if k_end - k0 > _MAX_LEVELS:
         raise InputError(

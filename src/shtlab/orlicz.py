@@ -1,4 +1,4 @@
-"""Young functions, conjugate pairs, local Luxemburg norms, and tail integrals.
+"""Young functions, conjugate pairs, local Luxemburg norms, and the power tail integral.
 
 Implemented families:
 
@@ -28,8 +28,8 @@ log(lam) from a rigorous bracket: with M = max_B f,
 
     M / Phi^{-1}(mu_max/mass_min)  <=  ||f||_{Phi,B}  <=  M / Phi^{-1}(1).
 
-Root-finding and quadrature tolerances are the module constants below; each
-checker's headroom sits in the check it serves (see the README).
+Root-finding tolerances are the module constants below; each checker's
+headroom sits in the check it serves (see the README).
 """
 from __future__ import annotations
 
@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
 
 from .errors import InputError, NumericalError
 from .space import (
@@ -60,7 +59,6 @@ REL_TOL = 1e-12       # relative bracket width ending a Luxemburg solve
 LOG_STEP = 1e-9       # Newton step in log u ending a power-log inversion
 MAX_ITER = 200        # cap on root-finding iterations
 LOG_U_MAX = 700.0     # power-log roots are sought for |log u| <= LOG_U_MAX
-QUAD_REL_TOL = 1e-8   # target relative error of the tail integral
 
 
 def p_conjugate(p: float) -> float:
@@ -403,47 +401,13 @@ def luxemburg_norms_over_balls(
     return _norms_core(tbl.member, tbl.weighted, tbl.mu, space.mass, fmat, phi)
 
 
-def alpha_p(
-    phi: YoungFunction, p: float
-) -> float:
+def alpha_p(phi: YoungFunction, p: float) -> float:
     """Tail integral int_1^inf Phi(t) t^{-p} dt/t; inf marks divergence.
 
-    Power(s): closed form 1/(p-s) for s < p.  PowerLog: substitution t = e^u
-    gives int_0^inf e^{-(p-s)u} log(e+e^u)^a du, integrated on [0, U] with a
-    certified remainder: for u >= 1, log(e+e^u) <= u+1, so the tail is at most
-    e^c c^{-(a+1)} Gamma(a+1, c(U+1)) with c = p-s.  Integrand and bound are
-    formed in log space; a bound that underflows counts as 0.  An overflow, or a
-    remainder still uncertified after 200 doublings of U, raises NumericalError.
+    Power(s) only, by the closed form 1/(p-s) for s < p: the power-bump route
+    takes it of a power conjugate.  Any other family raises InputError.
     """
     p_conjugate(p)  # validates the exponent range
     if isinstance(phi, Power):
         return 1.0 / (p - phi.s) if phi.s < p else math.inf
-    if isinstance(phi, PowerLog):
-        s, a = phi.s, phi.a
-        if s >= p:
-            return math.inf
-        c = p - s
-
-        def integrand(u):
-            return math.exp(-c * u + a * math.log(np.logaddexp(1.0, u)))
-
-        what = f"tail integral of {phi!r} at p = {p:g}"
-        upper = max(2.0, 4.0 / c)
-        for _ in range(200):
-            try:
-                main, _ = integrate.quad(
-                    integrand, 0.0, upper, epsabs=0.0, epsrel=1e-11, limit=400
-                )
-                tail_bound = (
-                    math.exp(c - (a + 1.0) * math.log(c) + special.gammaln(a + 1.0))
-                    * special.gammaincc(a + 1.0, c * (upper + 1.0))
-                )
-            except OverflowError as exc:  # math.exp beyond the float range
-                raise NumericalError(f"{what}: the integrand or its tail bound overflows") from exc
-            if tail_bound <= 0.5 * QUAD_REL_TOL * main:
-                return main + 0.5 * tail_bound
-            upper *= 2.0
-        raise NumericalError(f"{what}: remainder not certified after 200 doublings")
-    raise InputError(
-        "tail integral is implemented for the power and power-log families"
-    )
+    raise InputError(f"tail integral is implemented for the power family only, got {phi!r}")

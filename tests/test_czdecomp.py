@@ -81,6 +81,15 @@ def test_line4_spike_decomposition(line4):
     assert report["violations"] == []
 
 
+def test_vitali_pass_keeps_the_larger_of_two_meeting_candidates(line4):
+    # Omega is the whole line.  Point 0's candidate is B(0, 2) = {0, 1}
+    # (average 5/2), the others' is B(3, 3) = {1, 2, 3} (average 7/3); they
+    # meet, so the radius-descending pass keeps only the larger.
+    dec = cz_decompose(line4, whole_space_ball(line4), [1.0, 4.0, 0.0, 3.0], 2.0)
+    assert list(dec.omega) == [0, 1, 2, 3]
+    assert dec.selected == [Ball(3, 3.0)]
+
+
 def test_constant_field_empty_decomposition(line4):
     cfg = line4_config(line4)
     f = np.full(4, 2.0)

@@ -1,0 +1,132 @@
+"""Mutation table: each row plants one fault and names the tier-1 check that catches it.
+
+A row quotes the docstring statement it guards; the statement must still be
+in that docstring, so a row cannot outlive the property it was written for.
+The fault goes in through ``monkeypatch``, and the named check must then fail
+an assertion.  Without the fault the check passes: it is a tier-1 test.
+"""
+import __future__
+import inspect
+import sys
+import textwrap
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+import pytest
+
+import test_czdecomp as czdecomp_tests
+import test_orlicz as orlicz_tests
+import test_space as space_tests
+import test_weights as weights_tests
+from shtlab import czdecomp, orlicz, weights
+from shtlab.space import BallTable, build_space
+
+
+def rebind(monkeypatch, old, new):
+    """Point every module-level name bound to ``old`` at ``new``."""
+    for module in list(sys.modules.values()):
+        for name, value in list(getattr(module, "__dict__", {}).items()):
+            if value is old:
+                monkeypatch.setattr(module, name, new)
+
+
+def mutated(func, old, new):
+    """``func`` recompiled from its source with its one ``old`` replaced by ``new``."""
+    source = textwrap.dedent(inspect.getsource(func))
+    assert source.count(old) == 1, (func.__qualname__, old)
+    code = compile(source.replace(old, new), inspect.getsourcefile(func), "exec",
+                   flags=__future__.annotations.compiler_flag, dont_inherit=True)
+    scope = {}
+    exec(code, func.__globals__, scope)
+    return scope[func.__name__]
+
+
+def coarse_log_step(monkeypatch):
+    monkeypatch.setattr(orlicz, "LOG_STEP", 1e-4)
+
+
+def scaled_wp_constant(monkeypatch):
+    wp = weights.wp_constant
+    rebind(monkeypatch, wp, lambda *args: wp(*args) * (1.0 + 1e-9))
+
+
+def closed_balls(monkeypatch):
+    dilated = mutated(BallTable.dilated, "dist[self.centers] < (", "dist[self.centers] <= (")
+    monkeypatch.setattr(BallTable, "dilated", dilated)
+
+
+def dropped_ball(monkeypatch):
+    init = BallTable.__init__
+
+    def init_without_middle_row(self, space):
+        init(self, space)
+        keep = np.arange(self.m) != self.m // 2
+        for name in ("centers", "radii", "member", "weighted", "mu"):
+            setattr(self, name, getattr(self, name)[keep])
+        self.by_radius = np.lexsort((self.centers, -self.radii))
+
+    monkeypatch.setattr(BallTable, "__init__", init_without_middle_row)
+
+
+def reversed_vitali_order(monkeypatch):
+    select = czdecomp._select_level
+    rebind(monkeypatch, select,
+           mutated(select, "for r in order[first]:", "for r in order[first][::-1]:"))
+
+
+def window_over_subsets(monkeypatch):
+    # the old property iii) test: table balls inside B_i, not around it
+    check = czdecomp.verify_cz_properties
+    rebind(monkeypatch, check,
+           mutated(check, "~(masks @ ~tbl.member.T)", "~(tbl.member @ ~masks.T).T"))
+
+
+@dataclass(frozen=True)
+class Row:
+    owner: object          # whose docstring states the property
+    statement: str         # quoted from that docstring
+    fault: Callable        # plants the fault through monkeypatch
+    check: Callable        # the tier-1 test that must then fail
+    lines: tuple = ()      # lengths of the 1-D uniform grids the check takes as fixtures
+
+
+ROWS = [
+    Row(orlicz._newton_log,
+        "An element is frozen once its Newton step is at most LOG_STEP; convergence "
+        "is quadratic, so that last step leaves an error far below one ulp.",
+        coarse_log_step, orlicz_tests.test_power_log_inversions_round_trip),
+    Row(weights.wp_constant,
+        "sup over balls B with sigma(B) > 0 of (1/sigma(B)) * sum_B "
+        "M_Phi(sigma**(1/p) * chi_B)**p dmu",
+        scaled_wp_constant, weights_tests.test_conjugate_path_matches_power_identities),
+    Row(BallTable.dilated, "Membership (m, n) of every dilate lam*B: dist < lam * r(B).",
+        closed_balls, weights_tests.test_dilated_matches_ball_mask),
+    Row(sys.modules["shtlab.space"],
+        "per center the canonical radii (the positive distance values, plus one radius "
+        "past the maximum) realize every achievable member set exactly once.",
+        dropped_ball, space_tests.test_enumeration_covers_all_member_sets),
+    Row(czdecomp,
+        "keep a Vitali subfamily: sort by radius descending, center ascending, keep a "
+        "ball iff disjoint from all kept so far.",
+        reversed_vitali_order,
+        czdecomp_tests.test_vitali_pass_keeps_the_larger_of_two_meeting_candidates, (4,)),
+    Row(czdecomp,
+        "iii) any canonical ball containing B_i with radius >= eta*r(B_i) has avg over "
+        "its eta-dilate at most lam.",
+        window_over_subsets,
+        czdecomp_tests.test_enclosing_balls_whose_eta_dilate_exceeds_the_level, (8,)),
+]
+
+
+def flat(text):
+    return " ".join(text.split())
+
+
+@pytest.mark.parametrize("row", ROWS, ids=lambda row: row.fault.__name__)
+def test_fault_fails_its_check(row, monkeypatch):
+    assert flat(row.statement) in flat(inspect.getdoc(row.owner))
+    spaces = [build_space({"type": "grid", "shape": [n]}) for n in row.lines]
+    row.fault(monkeypatch)
+    with pytest.raises(AssertionError):
+        row.check(*spaces)

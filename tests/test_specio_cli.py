@@ -1,12 +1,16 @@
 import contextlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import shtlab
 from shtlab import cli
 from shtlab.cli import main
 from shtlab.errors import InputError
@@ -181,6 +185,22 @@ def run_cli(args, capsys):
     return code, out
 
 
+def python_c(code):
+    """Run ``python -c code`` on this checkout's package; returns stdout."""
+    src = os.path.dirname(os.path.dirname(shtlab.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_package_imports_without_scipy():
+    # a None entry makes any scipy import raise ImportError
+    python_c("import sys; sys.modules['scipy'] = None; import shtlab, shtlab.cli")
+    loaded = python_c("import sys, shtlab.cli; print([m for m in sys.modules if m == 'scipy' "
+                      "or m.startswith('scipy.')])")
+    assert loaded.strip() == "[]"
+
+
 def test_profile_command(files, capsys):
     code, out = run_cli(["profile", "--space", files["space"]], capsys)
     assert code == 0
@@ -329,6 +349,17 @@ def test_cz_level_base_near_one_exits_2(files, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert re.search(r"a=1\.00000001 gives \d+ levels, more than 1000000", captured.err)
+
+
+def test_cz_level_power_overflow_exits_2(files, tmp_path, capsys):
+    # the first power of a at or above the base average 1e250 is a**2 = 1e400
+    f = tmp_path / "huge.json"
+    f.write_text("[4e250, 0, 0, 0]")
+    assert main(["cz", "--space", files["space"], "--f", str(f), "--a", "1e200",
+                 "--allow-small-a"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "level base a=1e+200: a**2 exceeds the float range" in captured.err
 
 
 def test_cz_violations_write_balls(files, capsys, monkeypatch):

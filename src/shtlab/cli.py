@@ -15,7 +15,7 @@ import numpy as np
 
 from .czdecomp import cz_config, cz_decompose, multi_level_decompose, verify_cz_properties, verify_disjointing
 from .errors import InputError
-from .space import Ball, space_profile, whole_space_ball
+from .space import Ball, ball_table, space_profile
 from .specio import load_json, parse_phi, parse_space, parse_weight
 from .suite import run_suite
 from .verify import _sawyer_ordering, opnorm_lower_bound
@@ -134,12 +134,11 @@ def _cmd_constants(args) -> int:
     return 0
 
 
-def _ball_json(ball, members) -> dict:
-    return {
-        "center": int(ball.center),
-        "radius": float(ball.radius),
-        "members": [int(y) for y in members],
-    }
+def _ball_json(tbl, r) -> dict:
+    """Table row r as a report ball with its members."""
+    ball = tbl.ball(r)
+    return {"center": ball.center, "radius": ball.radius,
+            "members": np.flatnonzero(tbl.member[r]).tolist()}
 
 
 def _cmd_cz(args) -> int:
@@ -147,19 +146,19 @@ def _cmd_cz(args) -> int:
     f = parse_weight(args.f, space)
     profile = space_profile(space)
     config = cz_config(profile, eta=args.eta, a=args.a)
-    base = whole_space_ball(space)
+    tbl = ball_table(space)
     if args.lam is not None:
-        dec = cz_decompose(space, base, f, args.lam)
+        dec = cz_decompose(space, f, args.lam)
         check = verify_cz_properties(space, dec, f, config)
         obj = {
             "lambda": dec.level,
             "omega": [int(x) for x in dec.omega],
-            "balls": [_ball_json(b, m) for b, m in zip(dec.selected, dec.selected_members)],
+            "balls": [_ball_json(tbl, r) for r in dec.selected],
             "violations": check["violations"],
             "undilated_exceedances": check["undilated_exceedances"],
         }
     else:
-        fam = multi_level_decompose(space, base, f, config, allow_small_a=args.allow_small_a)
+        fam = multi_level_decompose(space, f, config, allow_small_a=args.allow_small_a)
         check = verify_disjointing(space, fam, config)
         obj = {
             "a": config.a,
@@ -169,7 +168,7 @@ def _cmd_cz(args) -> int:
                     "k": e.k,
                     "lambda": e.level,
                     "omega": [int(x) for x in e.omega],
-                    "balls": [_ball_json(b, m) for b, m in zip(e.balls, e.members)],
+                    "balls": [_ball_json(tbl, r) for r in e.balls],
                     "pruned": [[int(x) for x in m] for m in e.pruned],
                 }
                 for e in fam.entries

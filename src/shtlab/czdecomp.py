@@ -1,23 +1,22 @@
 """Stopping-time (Calderon-Zygmund) decomposition and multi-level disjointing.
 
-Single level: given a base ball B, a nonnegative f and a level lam >= avg_B f,
-the set Omega = {x in B : Mf(x) > lam} is covered by a disjoint family of
-selected balls.  For each x in Omega we take the canonical ball containing x
-of *maximal radius* whose f-average exceeds lam (the supremum over radii is
-attained on a finite space, which realizes the selection window for every
-eta > 1 simultaneously), then keep a Vitali subfamily: sort by radius
+Single level: given a nonnegative f on the whole (bounded) space X and a level
+lam >= avg_X f, the set Omega = {x : Mf(x) > lam} is covered by a disjoint
+family of selected balls.  For each x in Omega we take the canonical ball
+containing x of *maximal radius* whose f-average exceeds lam (the supremum over
+radii is attained on a finite space, which realizes the selection window for
+every eta > 1 simultaneously), then keep a Vitali subfamily: sort by radius
 descending, center ascending, keep a ball iff disjoint from all kept so far.
+A selected ball is a row of the space's ``BallTable``.
 
 Guarantees, with theta = 4*kappa**2 + kappa:
 
-  i)   union(B_i) within Omega within union(theta*B_i),
-       the first inclusion holding whenever the base ball is the whole space
-       (averages never exceed the level needed to push points outside B);
+  i)   union(B_i) within Omega within union(theta*B_i);
   ii)  avg_{B_i} f > lam;
   iii) any canonical ball containing B_i with radius >= eta*r(B_i) has
        avg over its eta-dilate at most lam.
 
-Multi-level: levels lam = a**k for k >= k0, where a**(k0-1) < avg_B f <= a**k0.
+Multi-level: levels lam = a**k for k >= k0, where a**(k0-1) < avg_X f <= a**k0.
 With eta = kappa**2*(4*kappa+3) and level base a the disjointing bound
 
     mu(B_i^k intersect Omega_{k+1}) < (4*theta*eta)**d_mu / a * mu(B_i^k)
@@ -35,14 +34,7 @@ import numpy as np
 
 from .errors import InputError, PreconditionError
 from .maximal import hl_maximal
-from .space import (
-    Ball,
-    QuasiMetricSpace,
-    SpaceProfile,
-    as_field,
-    ball_mask,
-    ball_table,
-)
+from .space import QuasiMetricSpace, SpaceProfile, as_field, ball_table
 
 __all__ = [
     "CZConfig",
@@ -69,15 +61,20 @@ class CZConfig:
     (2*eta)**d_mu + 1).
     """
 
-    kappa: float
     theta: float
     eta: float
     a: float
     d_mu: float
 
+    @property
+    def disjointing_base(self) -> float:
+        """2*(4*theta*eta)**d_mu, the least level base that forces mu(B_i^k) <= 2*mu(E_i^k)."""
+        return 2.0 * (4.0 * self.theta * self.eta) ** self.d_mu
+
 
 def required_level_base(theta: float, eta: float, d_mu: float) -> float:
-    return max(2.0 * (4.0 * theta * eta) ** d_mu, (2.0 * eta) ** d_mu + 1.0)
+    disjointing = CZConfig(theta=theta, eta=eta, a=math.nan, d_mu=d_mu).disjointing_base
+    return max(disjointing, (2.0 * eta) ** d_mu + 1.0)
 
 
 def cz_config(
@@ -104,31 +101,32 @@ def cz_config(
         a = float(math.ceil(need))
     if not 1 < a < math.inf:
         raise InputError(f"level base a must be finite and exceed 1, got {a}")
-    return CZConfig(kappa=kappa, theta=theta, eta=eta, a=float(a), d_mu=profile.d_mu)
+    return CZConfig(theta=theta, eta=eta, a=float(a), d_mu=profile.d_mu)
 
 
 @dataclass(frozen=True)
 class CZDecomposition:
-    base_ball: Ball
     level: float
-    omega: np.ndarray                    # sorted indices of {x in B : Mf > lam}
-    selected: list[Ball]
-    selected_members: list[np.ndarray]
+    omega: np.ndarray                    # sorted indices of {x : Mf > lam}
+    selected: np.ndarray                 # BallTable rows of the B_i, in Vitali order
 
     @property
     def is_empty(self) -> bool:
         return len(self.selected) == 0
 
 
-def _mask_average(space, f, mask) -> float:
-    """Mass-weighted average of f over a member mask."""
-    return float((f * space.mass)[mask].sum() / space.mass[mask].sum())
+def _space_average(space, f) -> float:
+    """Mass-weighted average of f over the whole space; InputError if its sum overflows."""
+    with np.errstate(over="ignore"):
+        total = (f * space.mass).sum()
+    if not math.isfinite(total):
+        raise InputError(f"mass-weighted sum of f exceeds the float range (max f = {f.max():g})")
+    return float(total / space.mass.sum())
 
 
-def _select_level(space, tbl, base_mask, mf, avg, lam):
-    """Maximal-radius candidate per point of Omega, then greedy Vitali."""
-    omega_mask = base_mask & (mf > lam)
-    omega = np.nonzero(omega_mask)[0]
+def _select_level(space, tbl, mf, avg, lam):
+    """Omega, and the rows of a maximal-radius candidate per point of Omega after greedy Vitali."""
+    omega = np.nonzero(mf > lam)[0]
     # per point of Omega, the first admissible ball containing it in the
     # maximal-radius order (radius descending, ties to the smallest center)
     order = tbl.by_radius
@@ -138,38 +136,22 @@ def _select_level(space, tbl, base_mask, mf, avg, lam):
     kept = []
     for r in order[first]:
         if not (tbl.member[r] & union).any():
-            kept.append(int(r))
+            kept.append(r)
             union |= tbl.member[r]
-    return omega, [tbl.ball(r) for r in kept], [np.nonzero(tbl.member[r])[0] for r in kept]
+    return omega, np.array(kept, dtype=int)
 
 
-def cz_decompose(
-    space: QuasiMetricSpace,
-    base_ball: Ball,
-    f,
-    lam: float,
-) -> CZDecomposition:
-    """Single-level decomposition of {x in base : Mf > lam}."""
+def cz_decompose(space: QuasiMetricSpace, f, lam: float) -> CZDecomposition:
+    """Single-level decomposition of {x : Mf > lam}."""
     f = as_field(space, f)
     if not math.isfinite(lam):
         raise InputError(f"level lambda must be finite, got {lam}")
-    base_mask = ball_mask(space, base_ball)
-    base_avg = _mask_average(space, f, base_mask)
+    base_avg = _space_average(space, f)
     if lam < base_avg:
-        raise PreconditionError(
-            f"level below base average: lam={lam} < {base_avg}"
-        )
+        raise PreconditionError(f"level below base average: lam={lam} < {base_avg}")
     tbl = ball_table(space)
-    mf = hl_maximal(space, f)
-    avg = tbl.averages(f)
-    omega, balls, members = _select_level(space, tbl, base_mask, mf, avg, lam)
-    return CZDecomposition(
-        base_ball=base_ball,
-        level=float(lam),
-        omega=omega,
-        selected=balls,
-        selected_members=members,
-    )
+    omega, rows = _select_level(space, tbl, hl_maximal(space, f), tbl.averages(f), lam)
+    return CZDecomposition(level=float(lam), omega=omega, selected=rows)
 
 
 def verify_cz_properties(
@@ -195,31 +177,28 @@ def verify_cz_properties(
     slack = 1e-9 * abs(dec.level)
     omega_mask = np.zeros(space.n, dtype=bool)
     omega_mask[dec.omega] = True
-    balls = dec.selected
-    masks = np.zeros((len(balls), space.n), dtype=bool)  # row i: members of B_i
-    for mask, members in zip(masks, dec.selected_members):
-        mask[members] = True
-    centers = np.array([b.center for b in balls], dtype=int)
-    radii = np.array([b.radius for b in balls], dtype=float)
+    rows = dec.selected
+    masks = tbl.member[rows]  # row i: members of B_i
+    radii = tbl.radii[rows]
 
     # (i, j) with i < j in row-major order, as a nested loop would visit them;
     # a bool product is the "or" of "and"s, so [i, j] says B_i meets B_j
     for i, j in np.argwhere(np.triu(masks @ masks.T, 1)):
-        violations.append({"kind": "overlap", "balls": (balls[i], balls[j])})
+        violations.append({"kind": "overlap", "balls": (tbl.ball(rows[i]), tbl.ball(rows[j]))})
 
     for i, y in np.argwhere(masks & ~omega_mask):
         violations.append(
-            {"kind": "selected_outside_omega", "ball": balls[i], "point": int(y)}
+            {"kind": "selected_outside_omega", "ball": tbl.ball(rows[i]), "point": int(y)}
         )
-    covered = (space.dist[centers] < (radii * config.theta)[:, None]).any(axis=0)
+    covered = tbl.dilated(config.theta)[rows].any(axis=0)
     for x in dec.omega[~covered[dec.omega]]:
         violations.append({"kind": "uncovered_point", "point": int(x)})
 
     fm = f * space.mass
-    for ball, mask in zip(balls, masks):
+    for r, mask in zip(rows, masks):
         avg = float(fm[mask].sum() / space.mass[mask].sum())
         if not avg > dec.level - slack:
-            violations.append({"kind": "low_average", "ball": ball, "average": avg})
+            violations.append({"kind": "low_average", "ball": tbl.ball(r), "average": avg})
 
     # [i, r]: table ball r contains B_i (no member of B_i lies outside it) and
     # has radius >= eta * r(B_i)
@@ -233,7 +212,7 @@ def verify_cz_properties(
             violations.append(
                 {
                     "kind": "window_violated",
-                    "ball": balls[i],
+                    "ball": tbl.ball(rows[i]),
                     "enclosing": tbl.ball(r),
                     "average": avg_out,
                 }
@@ -249,16 +228,13 @@ class LevelEntry:
     k: int
     level: float
     omega: np.ndarray
-    balls: list[Ball]
-    members: list[np.ndarray]
-    pruned: list[np.ndarray]             # E_i^k = members minus Omega_{k+1}
+    balls: np.ndarray                    # BallTable rows of the B_i^k, in Vitali order
+    pruned: list[np.ndarray]             # E_i^k = B_i^k minus Omega_{k+1}
 
 
 @dataclass(frozen=True)
 class LevelFamily:
-    base_ball: Ball
     k0: int
-    base_average: float
     entries: list[LevelEntry]
 
 
@@ -277,30 +253,28 @@ def _starting_level(avg: float, a: float) -> int:
 
 def multi_level_decompose(
     space: QuasiMetricSpace,
-    base_ball: Ball,
     f,
     config: CZConfig,
     allow_small_a: bool = False,
 ) -> LevelFamily:
     """Decompositions at every level a**k from k0 up to the first empty level set."""
     f = as_field(space, f)
-    need = 2.0 * (4.0 * config.theta * config.eta) ** config.d_mu
+    need = config.disjointing_base
     if not allow_small_a and config.a < need:
         raise InputError(
             f"level base a={config.a:g} below the disjointing requirement "
             f"2*(4*theta*eta)**d_mu = {need:g}"
         )
-    base_mask = ball_mask(space, base_ball)
-    base_avg = _mask_average(space, f, base_mask)
+    base_avg = _space_average(space, f)
     if base_avg <= 0:
-        raise PreconditionError("f vanishes on the base ball")
+        raise PreconditionError("f vanishes on the whole space")
     k0 = _starting_level(base_avg, config.a)
     tbl = ball_table(space)
     mf = hl_maximal(space, f)
     avg = tbl.averages(f)
-    # Omega_k is empty exactly when a**k >= max Mf over the base; a**k_end was
-    # computed here, so no power in the level loop can overflow
-    k_end = _starting_level(float(mf[base_mask].max()), config.a)
+    # Omega_k is empty exactly when a**k >= max Mf; a**k_end was computed
+    # here, so no power in the level loop can overflow
+    k_end = _starting_level(float(mf.max()), config.a)
     if k_end - k0 > _MAX_LEVELS:
         raise InputError(
             f"level base a={config.a!r} gives {k_end - k0} levels, more than {_MAX_LEVELS}"
@@ -309,24 +283,21 @@ def multi_level_decompose(
     entries = []
     for k in range(k0, k_end):
         lam = config.a**k
-        omega, balls, members = _select_level(space, tbl, base_mask, mf, avg, lam)
-        next_mask = base_mask & (mf > config.a ** (k + 1))
+        omega, rows = _select_level(space, tbl, mf, avg, lam)
+        in_next = mf > config.a ** (k + 1)
         entries.append(
             LevelEntry(
                 k=k,
                 level=float(lam),
                 omega=omega,
-                balls=balls,
-                members=members,
-                pruned=[m[~next_mask[m]] for m in members],
+                balls=rows,
+                pruned=[np.flatnonzero(tbl.member[r] & ~in_next) for r in rows],
             )
         )
-    return LevelFamily(base_ball=base_ball, k0=k0, base_average=base_avg, entries=entries)
+    return LevelFamily(k0=k0, entries=entries)
 
 
-def verify_disjointing(
-    space: QuasiMetricSpace, fam: LevelFamily, config: CZConfig
-) -> dict:
+def verify_disjointing(space: QuasiMetricSpace, fam: LevelFamily, config: CZConfig) -> dict:
     """Check the multi-level bounds and exact disjointness of the pruned sets.
 
     Asserts the strict overlap bound at every level; the two-fold mass bound
@@ -338,14 +309,16 @@ def verify_disjointing(
     violations = []
     grace = 1e-12
     factor = (4.0 * config.theta * config.eta) ** config.d_mu / config.a
-    check_half = config.a >= 2.0 * (4.0 * config.theta * config.eta) ** config.d_mu
+    check_half = config.a >= config.disjointing_base
     mass = space.mass
+    tbl = ball_table(space)
 
     # Omega_{k+1} is the next entry's Omega; after the last level it is empty
     omega_next = [e.omega for e in fam.entries[1:]] + [np.empty(0, dtype=int)]
     seen = np.zeros(space.n, dtype=bool)
     for entry, nxt in zip(fam.entries, omega_next):
-        for ball, members, pruned in zip(entry.balls, entry.members, entry.pruned):
+        for r, pruned in zip(entry.balls, entry.pruned):
+            members = np.flatnonzero(tbl.member[r])
             mu_ball = float(mass[members].sum())
             mu_cap = float(mass[members[np.isin(members, nxt)]].sum())
             if not mu_cap < factor * mu_ball * (1.0 + grace):
@@ -353,7 +326,7 @@ def verify_disjointing(
                     {
                         "kind": "overlap_bound",
                         "k": entry.k,
-                        "ball": ball,
+                        "ball": tbl.ball(r),
                         "mu_overlap": mu_cap,
                         "bound": factor * mu_ball,
                     }
@@ -365,12 +338,12 @@ def verify_disjointing(
                         {
                             "kind": "half_mass",
                             "k": entry.k,
-                            "ball": ball,
+                            "ball": tbl.ball(r),
                             "mu_ball": mu_ball,
                             "mu_pruned": mu_pruned,
                         }
                     )
             if seen[pruned].any():
-                violations.append({"kind": "pruned_overlap", "k": entry.k, "ball": ball})
+                violations.append({"kind": "pruned_overlap", "k": entry.k, "ball": tbl.ball(r)})
             seen[pruned] = True
     return {"violations": violations}

@@ -20,7 +20,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .czdecomp import (
-    _mask_average,
+    _space_average,
     cz_config,
     cz_decompose,
     multi_level_decompose,
@@ -29,7 +29,7 @@ from .czdecomp import (
 )
 from .errors import InputError
 from .maximal import hl_maximal
-from .space import ball_mask, check_dilation_bounds, check_engulfing, space_profile, whole_space_ball
+from .space import check_dilation_bounds, check_engulfing, space_profile
 from .specio import parse_phi, parse_space, parse_weight
 from .verify import (
     _ratio,
@@ -141,7 +141,7 @@ def _cz_instance(rng, idx) -> dict:
     mf = hl_maximal(space, f)
     # the base average exactly as cz_decompose computes it; the rounded max Mf
     # of a constant f can sit an ulp below it
-    avg = _mask_average(space, f, ball_mask(space, whole_space_ball(space)))
+    avg = _space_average(space, f)
     lam = avg + float(rng.uniform(0.0, 0.95)) * max(float(mf.max()) - avg, 0.0)
     return {"name": f"cz-{idx:03d}", "space": spec, "f": list(f), "lam": float(lam)}
 
@@ -328,8 +328,8 @@ def run_suite(manifest: dict) -> tuple[dict, dict]:
 
     t0 = time.perf_counter()
     for item in manifest.get("cz", []):
-        name, space, f, config, base = _decomposition_inputs(item)
-        dec = cz_decompose(space, base, f, float(item["lam"]))
+        name, space, f, config = _decomposition_inputs(item)
+        dec = cz_decompose(space, f, float(item["lam"]))
         check = verify_cz_properties(space, dec, f, config)
         report["cz"].append(
             {
@@ -348,8 +348,8 @@ def run_suite(manifest: dict) -> tuple[dict, dict]:
 
     t0 = time.perf_counter()
     for item in manifest.get("multilevel", []):
-        name, space, f, config, base = _decomposition_inputs(item)
-        fam = multi_level_decompose(space, base, f, config)
+        name, space, f, config = _decomposition_inputs(item)
+        fam = multi_level_decompose(space, f, config)
         check = verify_disjointing(space, fam, config)
         report["multilevel"].append(
             {
@@ -378,7 +378,7 @@ def run_suite(manifest: dict) -> tuple[dict, dict]:
 
 
 def _decomposition_inputs(item: dict):
-    """(name, space, f, default config, whole-space ball) of a cz or multilevel item."""
+    """(name, space, f, default config) of a cz or multilevel item."""
     space = parse_space(item["space"])
     f = parse_weight(item["f"], space)
-    return item["name"], space, f, cz_config(space_profile(space)), whole_space_ball(space)
+    return item["name"], space, f, cz_config(space_profile(space))

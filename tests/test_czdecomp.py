@@ -27,7 +27,6 @@ from shtlab.space import (
     build_space,
     dilate_ball,
     space_profile,
-    whole_space_ball,
 )
 from shtlab.specio import parse_space, parse_weight
 from shtlab.suite import default_manifest
@@ -73,10 +72,10 @@ def test_required_level_base_monotone():
 def test_line4_spike_decomposition(line4):
     cfg = line4_config(line4)
     f = np.array([8.0, 0.0, 0.0, 0.0])
-    dec = cz_decompose(line4, whole_space_ball(line4), f, 4.0)
+    dec = cz_decompose(line4, f, 4.0)
     assert list(dec.omega) == [0]
     assert len(dec.selected) == 1
-    assert list(dec.selected_members[0]) == [0]
+    assert list(ball_members(line4, ball_table(line4).ball(dec.selected[0]))) == [0]
     report = verify_cz_properties(line4, dec, f, cfg)
     assert report["violations"] == []
 
@@ -85,22 +84,22 @@ def test_vitali_pass_keeps_the_larger_of_two_meeting_candidates(line4):
     # Omega is the whole line.  Point 0's candidate is B(0, 2) = {0, 1}
     # (average 5/2), the others' is B(3, 3) = {1, 2, 3} (average 7/3); they
     # meet, so the radius-descending pass keeps only the larger.
-    dec = cz_decompose(line4, whole_space_ball(line4), [1.0, 4.0, 0.0, 3.0], 2.0)
+    dec = cz_decompose(line4, [1.0, 4.0, 0.0, 3.0], 2.0)
     assert list(dec.omega) == [0, 1, 2, 3]
-    assert dec.selected == [Ball(3, 3.0)]
+    assert [ball_table(line4).ball(r) for r in dec.selected] == [Ball(3, 3.0)]
 
 
 def test_constant_field_empty_decomposition(line4):
     cfg = line4_config(line4)
     f = np.full(4, 2.0)
-    dec = cz_decompose(line4, whole_space_ball(line4), f, 2.0)
+    dec = cz_decompose(line4, f, 2.0)
     assert dec.is_empty and dec.omega.size == 0
     assert verify_cz_properties(line4, dec, f, cfg)["violations"] == []
 
 
 def test_level_below_average_rejected(line4):
     with pytest.raises(PreconditionError, match="level below base average"):
-        cz_decompose(line4, whole_space_ball(line4), np.array([8.0, 0, 0, 0]), 0.0)
+        cz_decompose(line4, np.array([8.0, 0, 0, 0]), 0.0)
 
 
 def test_generated_levels_never_below_base_average():
@@ -109,7 +108,7 @@ def test_generated_levels_never_below_base_average():
     for item in default_manifest(20260810, 0, 400, 0)["cz"]:
         sp = parse_space(item["space"])
         f = parse_weight(item["f"], sp)
-        dec = cz_decompose(sp, whole_space_ball(sp), f, item["lam"])
+        dec = cz_decompose(sp, f, item["lam"])
         if item["name"] in ("cz-069", "cz-313"):
             assert dec.is_empty
             report = verify_cz_properties(sp, dec, f, cz_config(space_profile(sp)))
@@ -118,9 +117,9 @@ def test_generated_levels_never_below_base_average():
 
 def test_decomposition_deterministic(line4):
     f = np.array([5.0, 1.0, 7.0, 2.0])
-    a = cz_decompose(line4, whole_space_ball(line4), f, 4.0)
-    b = cz_decompose(line4, whole_space_ball(line4), f, 4.0)
-    assert a.selected == b.selected
+    a = cz_decompose(line4, f, 4.0)
+    b = cz_decompose(line4, f, 4.0)
+    assert np.array_equal(a.selected, b.selected)
     assert np.array_equal(a.omega, b.omega)
 
 
@@ -136,7 +135,7 @@ def test_properties_hold_on_random_instances():
         mf = hl_maximal(sp, f)
         avg = float((f * sp.mass).sum() / sp.mass.sum())
         lam = avg + rng.uniform(0, 0.95) * (mf.max() - avg)
-        dec = cz_decompose(sp, whole_space_ball(sp), f, lam)
+        dec = cz_decompose(sp, f, lam)
         report = verify_cz_properties(sp, dec, f, cfg)
         assert report["violations"] == []
 
@@ -152,14 +151,13 @@ def test_coverage_sandwich_measure_bound():
         f[rng.choice(8, 2, replace=False)] = [6.0, 9.0]
         avg = float((f * sp.mass).sum() / sp.mass.sum())
         lam = avg * 1.5
-        dec = cz_decompose(sp, whole_space_ball(sp), f, lam)
+        dec = cz_decompose(sp, f, lam)
         if dec.is_empty:
             continue
         mu_omega = sp.mass[dec.omega].sum()
-        dil = sum(
-            sp.mass[sp.dist[b.center] < cfg.theta * b.radius].sum() for b in dec.selected
-        )
-        plain = sum(sp.mass[m].sum() for m in dec.selected_members)
+        balls = [ball_table(sp).ball(r) for r in dec.selected]
+        dil = sum(sp.mass[sp.dist[b.center] < cfg.theta * b.radius].sum() for b in balls)
+        plain = sum(sp.mass[ball_mask(sp, b)].sum() for b in balls)
         assert mu_omega <= dil * (1 + 1e-12)
         assert dil <= (2 * cfg.theta) ** prof.d_mu * plain * (1 + 1e-12)
 
@@ -172,15 +170,17 @@ def line8():
     return build_space({"type": "grid", "shape": [8]})
 
 
+def rows_of(space, balls):
+    """The ball-table rows of canonical balls, given as (center, radius) pairs."""
+    tbl = ball_table(space)
+    rows = [np.flatnonzero((tbl.centers == b.center) & (tbl.radii == b.radius)) for b in balls]
+    assert all(r.size == 1 for r in rows), balls
+    return np.array([int(r[0]) for r in rows], dtype=int)
+
+
 def check_hand_built(space, f, level, omega, balls):
     """The checker's report on the given balls, whatever the selection would pick."""
-    dec = CZDecomposition(
-        base_ball=whole_space_ball(space),
-        level=level,
-        omega=np.array(omega, dtype=int),
-        selected=balls,
-        selected_members=[ball_members(space, b) for b in balls],
-    )
+    dec = CZDecomposition(level=level, omega=np.array(omega, dtype=int), selected=rows_of(space, balls))
     return verify_cz_properties(space, dec, np.array(f, dtype=float), cz_config(space_profile(space)))
 
 
@@ -239,26 +239,27 @@ def loop_oracle(space, dec, f, config):
     slack = 1e-9 * abs(dec.level)
     omega_mask = np.zeros(space.n, dtype=bool)
     omega_mask[dec.omega] = True
-    masks = [np.isin(np.arange(space.n), m) for m in dec.selected_members]
+    selected = [tbl.ball(r) for r in dec.selected]
+    masks = [ball_mask(space, b) for b in selected]
     violations = []
     for i in range(len(masks)):
         for j in range(i + 1, len(masks)):
             if (masks[i] & masks[j]).any():
-                violations.append({"kind": "overlap", "balls": (dec.selected[i], dec.selected[j])})
+                violations.append({"kind": "overlap", "balls": (selected[i], selected[j])})
     covered = np.zeros(space.n, dtype=bool)
-    for ball, mask in zip(dec.selected, masks):
+    for ball, mask in zip(selected, masks):
         for y in np.nonzero(mask & ~omega_mask)[0]:
             violations.append({"kind": "selected_outside_omega", "ball": ball, "point": int(y)})
         covered |= ball_mask(space, dilate_ball(ball, config.theta))
     for x in dec.omega[~covered[dec.omega]]:
         violations.append({"kind": "uncovered_point", "point": int(x)})
     fm = f * space.mass
-    for ball, mask in zip(dec.selected, masks):
+    for ball, mask in zip(selected, masks):
         avg = float(fm[mask].sum() / space.mass[mask].sum())
         if not avg > dec.level - slack:
             violations.append({"kind": "low_average", "ball": ball, "average": avg})
     undilated = 0
-    for ball, mask in zip(dec.selected, masks):
+    for ball, mask in zip(selected, masks):
         for r in range(tbl.m):
             outer = ball_mask(space, dilate_ball(tbl.ball(r), config.eta))
             inner = ball_mask(space, tbl.ball(r))
@@ -281,11 +282,9 @@ def test_checker_matches_a_loop_oracle_on_random_selections():
         tbl = ball_table(sp)
         rows = rng.choice(tbl.m, size=int(rng.integers(0, 6)), replace=False)
         dec = CZDecomposition(
-            base_ball=whole_space_ball(sp),
             level=float(rng.uniform(0.5, 2.5)),
             omega=np.flatnonzero(rng.random(sp.n) < 0.5),
-            selected=[tbl.ball(r) for r in rows],
-            selected_members=[np.flatnonzero(tbl.member[r]) for r in rows],
+            selected=rows,
         )
         f = rng.uniform(0.0, 3.0, sp.n)
         cfg = cz_config(space_profile(sp))
@@ -302,13 +301,13 @@ def test_checker_matches_a_loop_oracle_on_random_selections():
 def test_line4_multilevel_with_small_base(line4):
     cfg = line4_config(line4, a=4.0)
     f = np.array([8.0, 0.0, 0.0, 0.0])
-    fam = multi_level_decompose(line4, whole_space_ball(line4), f, cfg, allow_small_a=True)
+    fam = multi_level_decompose(line4, f, cfg, allow_small_a=True)
     assert fam.k0 == 1  # 4**0 < avg(=2) <= 4**1
     assert len(fam.entries) == 1
     entry = fam.entries[0]
     assert entry.level == 4.0
     assert list(entry.omega) == [0]
-    assert [list(m) for m in entry.members] == [[0]]
+    assert [list(ball_members(line4, ball_table(line4).ball(r))) for r in entry.balls] == [[0]]
     assert [list(e) for e in entry.pruned] == [[0]]
     assert verify_disjointing(line4, fam, cfg)["violations"] == []
 
@@ -316,12 +315,12 @@ def test_line4_multilevel_with_small_base(line4):
 def test_small_base_rejected_without_override(line4):
     cfg = line4_config(line4, a=4.0)
     with pytest.raises(InputError, match="2\\*\\(4\\*theta\\*eta\\)"):
-        multi_level_decompose(line4, whole_space_ball(line4), np.ones(4), cfg)
+        multi_level_decompose(line4, np.ones(4), cfg)
 
 
 def test_constant_field_gives_empty_family(line4):
     cfg = line4_config(line4)
-    fam = multi_level_decompose(line4, whole_space_ball(line4), np.full(4, 3.0), cfg)
+    fam = multi_level_decompose(line4, np.full(4, 3.0), cfg)
     assert fam.entries == []
     assert 1 < 3.0 / cfg.a ** (fam.k0 - 1) and 3.0 <= cfg.a**fam.k0
 
@@ -329,7 +328,7 @@ def test_constant_field_gives_empty_family(line4):
 def test_zero_field_rejected(line4):
     cfg = line4_config(line4)
     with pytest.raises(PreconditionError, match="vanishes"):
-        multi_level_decompose(line4, whole_space_ball(line4), np.zeros(4), cfg)
+        multi_level_decompose(line4, np.zeros(4), cfg)
 
 
 def level_entry(space, k, omega, balls, pruned):
@@ -337,16 +336,14 @@ def level_entry(space, k, omega, balls, pruned):
         k=k,
         level=4.0**k,
         omega=np.array(omega, dtype=int),
-        balls=balls,
-        members=[ball_members(space, b) for b in balls],
+        balls=rows_of(space, balls),
         pruned=[np.array(e, dtype=int) for e in pruned],
     )
 
 
 def hand_built_family(space, *entries):
     cfg = cz_config(space_profile(space))  # the default a meets the half-mass requirement
-    fam = LevelFamily(base_ball=whole_space_ball(space), k0=entries[0].k, base_average=1.0,
-                      entries=list(entries))
+    fam = LevelFamily(k0=entries[0].k, entries=list(entries))
     return verify_disjointing(space, fam, cfg), cfg
 
 
@@ -394,7 +391,7 @@ def test_cascade_produces_multiple_levels():
     cfg = cz_config(prof)
     f = np.zeros(sp.n)
     f[0] = 1.0
-    fam = multi_level_decompose(sp, whole_space_ball(sp), f, cfg)
+    fam = multi_level_decompose(sp, f, cfg)
     assert len(fam.entries) >= 2
     # consecutive levels, each nonempty, up to the first empty level set
     assert [e.k for e in fam.entries] == list(range(fam.k0, fam.k0 + len(fam.entries)))
@@ -403,7 +400,8 @@ def test_cascade_produces_multiple_levels():
     report = verify_disjointing(sp, fam, cfg)
     assert report["violations"] == []
     # starting bracket
-    assert cfg.a ** (fam.k0 - 1) < fam.base_average <= cfg.a**fam.k0
+    avg = float((f * sp.mass).sum() / sp.mass.sum())
+    assert cfg.a ** (fam.k0 - 1) < avg <= cfg.a**fam.k0
     # pruned sets pairwise disjoint across all levels (exact)
     seen = set()
     for entry in fam.entries:
@@ -419,10 +417,10 @@ def test_multilevel_respects_omega_nesting():
     cfg = cz_config(prof)
     f = np.zeros(sp.n)
     f[[0, 2]] = [5.0, 1.0]
-    fam = multi_level_decompose(sp, whole_space_ball(sp), f, cfg)
+    fam = multi_level_decompose(sp, f, cfg)
     mf = hl_maximal(sp, f)
     for entry in fam.entries:
         omega = set(int(x) for x in entry.omega)
         assert omega == {x for x in range(sp.n) if mf[x] > entry.level}
-        for ball, members in zip(entry.balls, entry.members):
-            assert set(int(y) for y in members) <= omega
+        for r in entry.balls:
+            assert set(int(y) for y in ball_members(sp, ball_table(sp).ball(r))) <= omega

@@ -9,7 +9,7 @@ from shtlab.czdecomp import cz_decompose
 from shtlab.errors import InputError
 from shtlab.maximal import hl_maximal, orlicz_maximal, restricted_maximal_table
 from shtlab.orlicz import Power, luxemburg_norm, luxemburg_norms_over_balls
-from shtlab.space import Ball, whole_space_ball
+from shtlab.space import Ball
 from shtlab.specio import parse_weight
 from shtlab.weights import (
     ainfty_exp,
@@ -38,7 +38,7 @@ ENTRY_POINTS = {
     "orlicz_maximal": lambda sp, v: orlicz_maximal(sp, v, Power(2.0)),
     "luxemburg_norm": lambda sp, v: luxemburg_norm(sp, v, Ball(0, 2.0), Power(2.0)),
     "luxemburg_norms_over_balls": lambda sp, v: luxemburg_norms_over_balls(sp, v, Power(2.0)),
-    "cz_decompose": lambda sp, v: cz_decompose(sp, whole_space_ball(sp), v, 10.0),
+    "cz_decompose": lambda sp, v: cz_decompose(sp, v, 10.0),
     "parse_weight": lambda sp, v: parse_weight(v, sp),
     "parse_weight_array": lambda sp, v: parse_weight({"type": "array", "values": v}, sp),
     "ap_constant": lambda sp, v: ap_constant(sp, v, 2.0),

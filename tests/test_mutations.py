@@ -46,9 +46,13 @@ def coarse_log_step(monkeypatch):
     monkeypatch.setattr(orlicz, "LOG_STEP", 1e-4)
 
 
-def scaled_wp_constant(monkeypatch):
-    wp = weights.wp_constant
-    rebind(monkeypatch, wp, lambda *args: wp(*args) * (1.0 + 1e-9))
+def scaled(constant):
+    """The fault that scales every value of ``constant`` by 1 + 1e-9."""
+    def fault(monkeypatch):
+        rebind(monkeypatch, constant, lambda *args: constant(*args) * (1.0 + 1e-9))
+
+    fault.__name__ = f"scaled_{constant.__name__}"
+    return fault
 
 
 def closed_balls(monkeypatch):
@@ -99,7 +103,12 @@ ROWS = [
     Row(weights.wp_constant,
         "sup over balls B with sigma(B) > 0 of (1/sigma(B)) * sum_B "
         "M_Phi(sigma**(1/p) * chi_B)**p dmu",
-        scaled_wp_constant, weights_tests.test_conjugate_path_matches_power_identities),
+        scaled(weights.wp_constant), weights_tests.test_conjugate_path_matches_power_identities),
+    Row(weights.bump_ap, "Orlicz-bump constant: sup_B (avg_B w) * ||sigma**(1/p')||_{Phi,B}**p.",
+        scaled(weights.bump_ap), weights_tests.test_conjugate_path_matches_power_identities),
+    Row(weights.sawyer_constant,
+        "sup over balls B with sigma(B) > 0 of ((1/sigma(B)) * sum_B M(sigma*chi_B)**p * w dmu)**(1/p).",
+        scaled(weights.sawyer_constant), weights_tests.test_sawyer_matches_oracle_random),
     Row(BallTable.dilated, "Membership (m, n) of every dilate lam*B: dist < lam * r(B).",
         closed_balls, weights_tests.test_dilated_matches_ball_mask),
     Row(sys.modules["shtlab.space"],

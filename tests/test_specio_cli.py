@@ -11,11 +11,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import shtlab
+from conftest import random_cloud
 from shtlab import cli
 from shtlab.cli import main
+from shtlab.czdecomp import cz_config, cz_decompose, multi_level_decompose
 from shtlab.errors import InputError
+from shtlab.maximal import hl_maximal
 from shtlab.orlicz import Power, PowerLog
-from shtlab.space import Ball, build_space
+from shtlab.space import Ball, ball_members, ball_table, build_space, space_profile
 from shtlab.specio import parse_phi, parse_space, parse_weight
 
 
@@ -265,6 +268,42 @@ def test_cz_command_multilevel(files, capsys):
     assert rep["levels"][0]["balls"][0]["members"] == [0]
 
 
+def open_ball_json(space, rows):
+    """Report balls of table rows, with members through ball_mask rather than the table."""
+    balls = [ball_table(space).ball(r) for r in rows]
+    return [{"center": b.center, "radius": b.radius, "members": ball_members(space, b).tolist()}
+            for b in balls]
+
+
+def test_cz_report_balls_match_open_ball_members(tmp_path, capsys):
+    # a decomposition holds ball-table rows; each reported ball is its row's
+    # (center, radius), with the members that ball_mask gives for that ball
+    rng = np.random.default_rng(7)
+    levels = 0
+    for trial in range(8):
+        sp = random_cloud(rng, int(rng.integers(4, 10)), dim=1 + trial % 2)
+        f = np.zeros(sp.n)
+        f[rng.choice(sp.n, size=2, replace=False)] = 10.0 ** rng.uniform(0, 2, 2)
+        space, field = tmp_path / "space.json", tmp_path / "f.json"
+        spec = {"type": "explicit", "dist": sp.dist.tolist(), "mass": sp.mass.tolist()}
+        space.write_text(json.dumps(spec))
+        field.write_text(json.dumps(f.tolist()))
+        avg = float((f * sp.mass).sum() / sp.mass.sum())
+        lam = avg + float(rng.uniform(0, 0.9) * (hl_maximal(sp, f).max() - avg))
+        common = ["cz", "--space", str(space), "--f", str(field)]
+        code, out = run_cli(common + ["--lambda", repr(lam)], capsys)
+        assert code == 0
+        assert json.loads(out)["balls"] == open_ball_json(sp, cz_decompose(sp, f, lam).selected)
+        cfg = cz_config(space_profile(sp), a=4.0)
+        code, out = run_cli(common + ["--a", "4", "--allow-small-a"], capsys)
+        assert code == 0
+        fam = multi_level_decompose(sp, f, cfg, allow_small_a=True)
+        reported = [e["balls"] for e in json.loads(out)["levels"]]
+        assert reported == [open_ball_json(sp, e.balls) for e in fam.entries]
+        levels += len(fam.entries)
+    assert levels >= 8
+
+
 def test_cz_level_below_average_is_input_error(files, capsys):
     code, _ = run_cli(
         ["cz", "--space", files["space"], "--f", files["spike"], "--lambda", "0.5"],
@@ -360,6 +399,17 @@ def test_cz_level_power_overflow_exits_2(files, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "level base a=1e+200: a**2 exceeds the float range" in captured.err
+
+
+@pytest.mark.parametrize("mode", [["--a", "1e200", "--allow-small-a"], ["--lambda", "1e308"]])
+def test_cz_overflowing_mass_weighted_sum_exits_2(files, tmp_path, capsys, mode):
+    # each entry fits a float, but 1e308 + 1e308 does not
+    f = tmp_path / "huge.json"
+    f.write_text("[1e308, 1e308, 0, 0]")
+    assert main(["cz", "--space", files["space"], "--f", str(f), *mode]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "mass-weighted sum of f exceeds the float range" in captured.err
 
 
 def test_cz_violations_write_balls(files, capsys, monkeypatch):

@@ -12,7 +12,6 @@ from .space import (
     space_profile,
     ball_members,
     dilate_ball,
-    whole_space_ball,
     check_engulfing,
     check_dilation_bounds,
 )
@@ -33,7 +32,6 @@ from .weights import (
     bump_ap,
     wp_constant,
     sawyer_constant,
-    ConstantsReport,
     constants_report,
 )
 from .czdecomp import (
@@ -47,13 +45,11 @@ from .czdecomp import (
     verify_disjointing,
 )
 from .verify import (
-    ChainReport,
     verify_main_chain,
     OpNormEstimate,
     opnorm_lower_bound,
     verify_reductions,
     probe_moen_and_norm,
-    RHIProbeReport,
     weak_rhi_probe,
     verify_appendix_bump,
 )

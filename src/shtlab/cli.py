@@ -126,7 +126,7 @@ def _cmd_constants(args) -> int:
     reports = []
     for p in ps:
         phi = parse_phi(args.phi) if args.phi else Power(p_conjugate(p))
-        reports.append(asdict(constants_report(space, w, sigma, p, phi)))
+        reports.append(constants_report(space, w, sigma, p, phi))
     obj = reports[0] if len(reports) == 1 else {"sweep": reports}
     header = ["p", "phi", "ap", "two_weight_ap", "ainfty_fw", "ainfty_exp", "bump_ap", "wp", "sawyer"]
     rows = [header] + [[r[k] for k in header] for r in reports]

@@ -42,7 +42,6 @@ __all__ = [
     "ball_members",
     "ball_mask",
     "dilate_ball",
-    "whole_space_ball",
     "check_engulfing",
     "check_dilation_bounds",
 ]
@@ -136,6 +135,7 @@ class QuasiMetricSpace:
         self.dist = dist
         self.mass = mass
         self._table = None  # lazy BallTable cache
+        self._profile = None  # lazy SpaceProfile cache
 
     @property
     def n(self) -> int:
@@ -164,15 +164,6 @@ def as_field(space: QuasiMetricSpace, values, what: str = "field") -> np.ndarray
     return arr
 
 
-def _grid_coordinates(shape):
-    if len(shape) == 1:
-        return np.arange(shape[0], dtype=float)[:, None]
-    if len(shape) == 2:
-        ii, jj = np.meshgrid(np.arange(shape[0]), np.arange(shape[1]), indexing="ij")
-        return np.stack([ii.ravel(), jj.ravel()], axis=1).astype(float)
-    raise InputError(f"grid shape must have 1 or 2 entries, got {shape}")
-
-
 _METRIC_ORDERS = {"l1": 1, "l2": 2, "linf": np.inf}
 
 
@@ -196,13 +187,15 @@ def build_space(spec: dict) -> QuasiMetricSpace:
             raise InputError("grid space spec requires a nonempty 'shape' list")
         if not all(_is_integer(s) and s >= 1 for s in shape):
             raise InputError(f"grid 'shape' entries must be positive integers, got {shape}")
+        if len(shape) > 2:
+            raise InputError(f"grid shape must have 1 or 2 entries, got {shape}")
         dims = tuple(int(s) for s in shape)
         if math.prod(dims) ** 2 * len(dims) > WORKSPACE_ELEMENTS:  # exact Python ints
             raise InputError(
                 f"grid 'shape' {shape} is too large: its (n, n, {len(dims)}) difference "
                 f"array would exceed {WORKSPACE_ELEMENTS} elements"
             )
-        coords = _grid_coordinates(dims)
+        coords = np.indices(dims).reshape(len(dims), -1).T.astype(float)
         metric = spec.get("metric", "l1")
         if not isinstance(metric, str) or metric not in _METRIC_ORDERS:
             raise InputError(f"unknown metric {metric!r}; expected l1, l2 or linf")
@@ -218,7 +211,12 @@ def build_space(spec: dict) -> QuasiMetricSpace:
 
 
 def space_profile(space: QuasiMetricSpace) -> SpaceProfile:
-    """Profile kappa, the doubling constant and order, and the engulfing factor."""
+    """Profile kappa, the doubling constant and order, and the engulfing factor.
+
+    The profile is computed once and cached on the space, beside its table.
+    """
+    if space._profile is not None:
+        return space._profile
     dist = space.dist
     n = space.n
     # kappa = max d(x,y) / min_z (d(x,z) + d(z,y)), in chunks of rows x; division
@@ -238,12 +236,13 @@ def space_profile(space: QuasiMetricSpace) -> SpaceProfile:
     cuts = np.searchsorted(tbl.centers, np.arange(1, n))
     for inner, outer in zip(np.split(tbl.member, cuts), np.split(tbl.dilated(2.0), cuts)):
         c_mu = max(c_mu, float(np.max((outer @ space.mass) / (inner @ space.mass))))
-    return SpaceProfile(
+    space._profile = SpaceProfile(
         kappa=kappa,
         c_mu=c_mu,
         d_mu=float(np.log2(c_mu)),
         engulf=kappa * (2.0 * kappa + 1.0),
     )
+    return space._profile
 
 
 def ball_mask(space: QuasiMetricSpace, ball: Ball) -> np.ndarray:
@@ -333,12 +332,6 @@ def dilate_ball(ball: Ball, lam: float) -> Ball:
     if lam < 1:
         raise InputError(f"dilation factor must be >= 1, got {lam}")
     return Ball(center=ball.center, radius=ball.radius * lam)
-
-
-def whole_space_ball(space: QuasiMetricSpace) -> Ball:
-    """The canonical ball at center 0 whose member set is the whole space."""
-    tbl = ball_table(space)
-    return tbl.ball(int(np.searchsorted(tbl.centers, 0, side="right")) - 1)
 
 
 def check_engulfing(space: QuasiMetricSpace, profile: SpaceProfile) -> list[tuple[Ball, Ball]]:

@@ -48,7 +48,8 @@ _P_GRID = (1.2, 1.5, 2.0, 3.0, 4.0)
 
 
 def _round(values):
-    return [float(np.round(v, 12)) for v in np.asarray(values, dtype=float).ravel()]
+    """Values rounded to 12 decimals, as nested lists of the input's shape."""
+    return np.round(np.asarray(values, dtype=float), 12).tolist()
 
 
 def _random_space_spec(rng: np.random.Generator) -> dict:
@@ -67,13 +68,13 @@ def _random_space_spec(rng: np.random.Generator) -> dict:
         n = int(rng.integers(4, 13))
     dim = 1 if kind == 2 else 2
     pts = rng.uniform(0.0, 10.0, size=(n, dim))
-    order = {1: 1, 2: 2}[dim] if rng.random() < 0.7 else np.inf
+    order = dim if rng.random() < 0.7 else np.inf
     diff = pts[:, None, :] - pts[None, :, :]
     dist = np.linalg.norm(diff, ord=order, axis=2)
     np.fill_diagonal(dist, 0.0)
     return {
         "type": "explicit",
-        "dist": [_round(row) for row in dist],
+        "dist": _round(dist),
         "mass": _positive(rng, n),
     }
 
@@ -91,7 +92,7 @@ def _weight_spec(rng, n, allow_zero=False) -> dict:
     if roll < 0.30:
         k = float(rng.choice([4.0, 16.0, 64.0]))
         vals = np.where(rng.random(n) < 0.5, 1.0, k)
-        return {"type": "array", "values": [float(v) for v in vals]}
+        return {"type": "array", "values": vals.tolist()}
     if roll < 0.45:
         return {
             "type": "power",
@@ -119,8 +120,8 @@ def _cascade_space_spec(rng) -> dict:
     mass = growth ** np.arange(n)
     return {
         "type": "explicit",
-        "dist": [[float(v) for v in row] for row in dist],
-        "mass": [float(v) for v in mass],
+        "dist": dist.tolist(),
+        "mass": mass.tolist(),
     }
 
 
@@ -143,7 +144,7 @@ def _cz_instance(rng, idx) -> dict:
     # of a constant f can sit an ulp below it
     avg = _space_average(space, f)
     lam = avg + float(rng.uniform(0.0, 0.95)) * max(float(mf.max()) - avg, 0.0)
-    return {"name": f"cz-{idx:03d}", "space": spec, "f": list(f), "lam": float(lam)}
+    return {"name": f"cz-{idx:03d}", "space": spec, "f": f.tolist(), "lam": float(lam)}
 
 
 def _multilevel_instance(rng, idx) -> dict:
@@ -197,7 +198,7 @@ def default_manifest(seed: int, instances: int = 50, cz: int = 100, multilevel: 
     while len(inst) < instances:
         i = len(inst)
         spec = _random_space_spec(rng)
-        n = len(spec["mass"]) if isinstance(spec["mass"], list) else int(np.prod(spec["shape"]))
+        n = len(spec["mass"])
         p = float(_P_GRID[i % len(_P_GRID)])
         inst.append(
             {
@@ -272,11 +273,11 @@ def run_suite(manifest: dict) -> tuple[dict, dict]:
         chains = []
         for phi_spec in inst.get("phis", _phi_specs(p)):
             phi = parse_phi(phi_spec)
-            chain = verify_main_chain(space, w, sigma, p, phi, config=config, profile=profile)
-            chains.append(asdict(chain))
-            if not chain.passed:
+            chain = verify_main_chain(space, w, sigma, p, phi)
+            chains.append(chain)
+            if not chain["passed"]:
                 violations.append(
-                    {"instance": name, "check": "chain", "phi": phi.label, "slack": chain.slack}
+                    {"instance": name, "check": "chain", "phi": phi.label, "slack": chain["slack"]}
                 )
         entry["chains"] = chains
         clock("chains", t0)
@@ -302,18 +303,10 @@ def run_suite(manifest: dict) -> tuple[dict, dict]:
         clock("opnorm", t0)
 
         t0 = time.perf_counter()
-        if np.all(w > 0):
-            rhi = weak_rhi_probe(space, w)
-            entry["rhi"] = {
-                "r_star": rhi.r_star,
-                "r_max": rhi.r_max,
-                "tau_estimate": rhi.tau_estimate,
-                "ainfty_fw": rhi.ainfty_fw,
-            }
-            if not rhi.r_star > 1.0:
-                violations.append({"instance": name, "check": "rhi_exponent", "r_star": rhi.r_star})
-        else:
-            entry["rhi"] = None
+        rhi = weak_rhi_probe(space, w) if np.all(w > 0) else None
+        entry["rhi"] = rhi
+        if rhi is not None and not rhi["r_star"] > 1.0:
+            violations.append({"instance": name, "check": "rhi_exponent", "r_star": rhi["r_star"]})
         clock("rhi", t0)
 
         if inst.get("probe"):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .czdecomp import CZConfig, cz_config
+from .czdecomp import cz_config
 from .errors import InputError
 from .maximal import hl_maximal
 from .orlicz import (
@@ -28,7 +28,7 @@ from .orlicz import (
     alpha_p,
     p_conjugate,
 )
-from .space import QuasiMetricSpace, SpaceProfile, ball_table, space_profile
+from .space import QuasiMetricSpace, ball_table, space_profile
 from .weights import (
     ainfty_fujii_wilson,
     as_weight,
@@ -39,36 +39,16 @@ from .weights import (
 )
 
 __all__ = [
-    "ChainReport",
     "verify_main_chain",
     "OpNormEstimate",
     "opnorm_lower_bound",
     "verify_reductions",
     "probe_moen_and_norm",
-    "RHIProbeReport",
     "weak_rhi_probe",
     "verify_appendix_bump",
 ]
 
 PASS_HEADROOM = 1e-9
-
-
-@dataclass(frozen=True)
-class ChainReport:
-    """One evaluation of the explicit-constant chain inequality."""
-
-    p: float
-    phi: str
-    a: float
-    theta: float
-    d_mu: float
-    sawyer: float
-    sawyer_p: float
-    bump: float
-    wp_conjugate: float
-    bound: float
-    slack: float
-    passed: bool
 
 
 def verify_main_chain(
@@ -77,14 +57,13 @@ def verify_main_chain(
     sigma,
     p: float,
     phi: YoungFunction,
-    config: CZConfig | None = None,
-    profile: SpaceProfile | None = None,
-) -> ChainReport:
-    """Evaluate sawyer**p against the explicit bound; passing is a theorem."""
-    if profile is None:
-        profile = space_profile(space)
-    if config is None:
-        config = cz_config(profile)
+) -> dict:
+    """Evaluate sawyer**p against the explicit bound; passing is a theorem.
+
+    The constants are the space's profile at the default level base.  Returns
+    the report row: constants, both sides, their ratio ``slack``, ``passed``.
+    """
+    config = cz_config(space_profile(space))
     try:
         constant = 4.0 * config.a**p * (2.0 * config.theta) ** ((p + 1.0) * config.d_mu)
     except OverflowError:
@@ -100,20 +79,20 @@ def verify_main_chain(
     wp = wp_constant(space, sigma, p, phibar)
     bound = constant * bump * wp
     slack = sawyer**p / bound
-    return ChainReport(
-        p=p,
-        phi=phi.label,
-        a=config.a,
-        theta=config.theta,
-        d_mu=config.d_mu,
-        sawyer=sawyer,
-        sawyer_p=sawyer**p,
-        bump=bump,
-        wp_conjugate=wp,
-        bound=bound,
-        slack=slack,
-        passed=bool(slack <= 1.0 + PASS_HEADROOM),
-    )
+    return {
+        "p": p,
+        "phi": phi.label,
+        "a": config.a,
+        "theta": config.theta,
+        "d_mu": config.d_mu,
+        "sawyer": sawyer,
+        "sawyer_p": sawyer**p,
+        "bump": bump,
+        "wp_conjugate": wp,
+        "bound": bound,
+        "slack": slack,
+        "passed": bool(slack <= 1.0 + PASS_HEADROOM),
+    }
 
 
 @dataclass(frozen=True)
@@ -283,19 +262,10 @@ def probe_moen_and_norm(
     }
 
 
-@dataclass(frozen=True)
-class RHIProbeReport:
-    r_star: float
-    r_max: float
-    tau_estimate: float
-    ainfty_fw: float
-    factor: float
-
-
 def weak_rhi_probe(
     space: QuasiMetricSpace,
     w,
-) -> RHIProbeReport:
+) -> dict:
     """Largest exponent of self-improved integrability with explicit factor.
 
     Searches the largest r in (1, 64] with, for every canonical ball B,
@@ -304,7 +274,8 @@ def weak_rhi_probe(
 
     At r = 1 the inequality holds with a factor-2 margin, so some r > 1 always
     exists on a finite space.  tau estimates the structural constant of the
-    exponent formula r(w) = 1 + 1/(tau * A_infty(w)).
+    exponent formula r(w) = 1 + 1/(tau * A_infty(w)).  Returns r_star, r_max,
+    tau_estimate and the Fujii-Wilson constant ainfty_fw.
     """
     w = as_weight(space, w)
     if np.any(w == 0):
@@ -335,13 +306,12 @@ def weak_rhi_probe(
                 hi = mid
         r_star = lo
     fw = ainfty_fujii_wilson(space, w)
-    return RHIProbeReport(
-        r_star=r_star,
-        r_max=r_max,
-        tau_estimate=1.0 / ((r_star - 1.0) * fw) if r_star > 1.0 else np.inf,
-        ainfty_fw=fw,
-        factor=factor,
-    )
+    return {
+        "r_star": r_star,
+        "r_max": r_max,
+        "tau_estimate": 1.0 / ((r_star - 1.0) * fw) if r_star > 1.0 else np.inf,
+        "ainfty_fw": fw,
+    }
 
 
 def verify_appendix_bump(

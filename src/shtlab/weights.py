@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +34,6 @@ __all__ = [
     "bump_ap",
     "wp_constant",
     "sawyer_constant",
-    "ConstantsReport",
     "constants_report",
 ]
 
@@ -168,46 +166,30 @@ def sawyer_constant(space: QuasiMetricSpace, w, sigma, p: float) -> float:
     return float(np.max(totals[live] / sb[live]) ** (1.0 / p))
 
 
-@dataclass(frozen=True)
-class ConstantsReport:
-    """All weight constants for one (space, w, sigma, p, Phi) context.
-
-    ``ap`` and ``ainfty_exp`` are None when w has zeros (their formulas need
-    a strictly positive weight); every computed value is finite.
-    """
-
-    p: float
-    phi: str
-    ap: float | None
-    two_weight_ap: float
-    ainfty_fw: float
-    ainfty_exp: float | None
-    bump_ap: float
-    wp: float
-    sawyer: float
-    n: int
-
-
 def constants_report(
     space: QuasiMetricSpace,
     w,
     sigma,
     p: float,
     phi: YoungFunction,
-) -> ConstantsReport:
-    """Compute every weight constant in one pass; see ConstantsReport."""
+) -> dict:
+    """Every weight constant for one (space, w, sigma, p, Phi) context.
+
+    ``ap`` and ``ainfty_exp`` are None when w has zeros (their formulas need
+    a strictly positive weight); every computed value is finite.
+    """
     w = as_weight(space, w)
     sigma = as_weight(space, sigma)
     strictly_positive = not np.any(w == 0)
-    return ConstantsReport(
-        p=p,
-        phi=phi.label,
-        ap=ap_constant(space, w, p) if strictly_positive else None,
-        two_weight_ap=two_weight_ap(space, w, sigma, p),
-        ainfty_fw=ainfty_fujii_wilson(space, w),
-        ainfty_exp=ainfty_exp(space, w) if strictly_positive else None,
-        bump_ap=bump_ap(space, w, sigma, p, phi),
-        wp=wp_constant(space, sigma, p, phi),
-        sawyer=sawyer_constant(space, w, sigma, p),
-        n=space.n,
-    )
+    return {
+        "p": p,
+        "phi": phi.label,
+        "ap": ap_constant(space, w, p) if strictly_positive else None,
+        "two_weight_ap": two_weight_ap(space, w, sigma, p),
+        "ainfty_fw": ainfty_fujii_wilson(space, w),
+        "ainfty_exp": ainfty_exp(space, w) if strictly_positive else None,
+        "bump_ap": bump_ap(space, w, sigma, p, phi),
+        "wp": wp_constant(space, sigma, p, phi),
+        "sawyer": sawyer_constant(space, w, sigma, p),
+        "n": space.n,
+    }

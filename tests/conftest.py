@@ -25,6 +25,12 @@ def table_balls(space: QuasiMetricSpace):
     return [tbl.ball(r) for r in range(tbl.m)]
 
 
+def whole_ball(space: QuasiMetricSpace):
+    """The first canonical ball, in table order, whose member set is the whole space."""
+    tbl = ball_table(space)
+    return tbl.ball(int(np.flatnonzero(tbl.member.all(axis=1))[0]))
+
+
 def random_cloud(rng: np.random.Generator, n: int, dim: int = 1, masses: str = "random"):
     """Random metric point cloud (kappa = 1) used across property tests."""
     pts = rng.uniform(0.0, 10.0, size=(n, dim))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_cloud, table_balls
+from conftest import random_cloud, table_balls, whole_ball
 from shtlab.errors import InputError
 from shtlab.maximal import (
     hl_maximal,
@@ -11,7 +11,7 @@ from shtlab.maximal import (
     restricted_maximal_table,
 )
 from shtlab.orlicz import Power
-from shtlab.space import Ball, ball_mask, ball_table, whole_space_ball
+from shtlab.space import Ball, ball_mask, ball_table
 
 
 def oracle_maximal(space, f):
@@ -61,7 +61,7 @@ def test_negative_field_rejected(line4):
 
 def test_restricted_whole_ball_is_plain(line4):
     f = np.array([1.0, 3.0, 0.0, 2.0])
-    whole = whole_space_ball(line4)
+    whole = whole_ball(line4)
     assert np.array_equal(restricted_maximal(line4, f, whole), hl_maximal(line4, f))
 
 

@@ -92,7 +92,8 @@ class Row:
     statement: str         # quoted from that docstring
     fault: Callable        # plants the fault through monkeypatch
     check: Callable        # the tier-1 test that must then fail
-    lines: tuple = ()      # lengths of the 1-D uniform grids the check takes as fixtures
+    lines: tuple = ()      # lengths of the 1-D uniform grids the check takes as fixtures;
+                           # 1 and 2 points build the one_point and two_point fixtures
 
 
 ROWS = [
@@ -100,6 +101,16 @@ ROWS = [
         "An element is frozen once its Newton step is at most LOG_STEP; convergence "
         "is quadratic, so that last step leaves an error far below one ulp.",
         coarse_log_step, orlicz_tests.test_power_log_inversions_round_trip),
+    Row(weights.ap_constant, "sup_B (avg_B w) * (avg_B w**(-1/(p-1)))**(p-1).",
+        scaled(weights.ap_constant), weights_tests.test_ap_ones, (4,)),
+    Row(weights.two_weight_ap, "sup_B (avg_B w) * (avg_B sigma)**(p-1).",
+        scaled(weights.two_weight_ap), weights_tests.test_two_weight_examples, (4,)),
+    Row(weights.ainfty_fujii_wilson,
+        "Fujii-Wilson constant: sup_B (1/w(B)) * sum_B M(w*chi_B) dmu.",
+        scaled(weights.ainfty_fujii_wilson), weights_tests.test_fujii_wilson_examples, (4, 1)),
+    Row(weights.ainfty_exp,
+        "Exponential A_infty constant: sup_B (avg_B w) * exp(avg_B log(1/w)).",
+        scaled(weights.ainfty_exp), weights_tests.test_ainfty_exp, (4, 2)),
     Row(weights.wp_constant,
         "sup over balls B with sigma(B) > 0 of (1/sigma(B)) * sum_B "
         "M_Phi(sigma**(1/p) * chi_B)**p dmu",

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from conftest import random_cloud
+from conftest import random_cloud, whole_ball
 from shtlab import orlicz
 from shtlab.errors import InputError, NumericalError
 from shtlab.orlicz import (
@@ -18,7 +18,7 @@ from shtlab.orlicz import (
     luxemburg_norms_over_balls,
     p_conjugate,
 )
-from shtlab.space import Ball, QuasiMetricSpace, ball_mask, ball_table, whole_space_ball
+from shtlab.space import Ball, QuasiMetricSpace, ball_mask, ball_table
 
 
 def qmean(space, f, mask, q):
@@ -235,7 +235,7 @@ def test_p_conjugate_range():
 
 def test_luxemburg_spike_closed_form(line4):
     f = np.array([2.0, 0.0, 0.0, 0.0])
-    assert luxemburg_norm(line4, f, whole_space_ball(line4), Power(2)) == pytest.approx(
+    assert luxemburg_norm(line4, f, whole_ball(line4), Power(2)) == pytest.approx(
         1.0, rel=1e-9
     )
 
@@ -280,7 +280,7 @@ def test_luxemburg_power_one_is_average(line4):
 def test_luxemburg_homogeneity(c):
     sp = random_cloud(np.random.default_rng(7), 6)
     f = np.array([0.3, 1.2, 0.0, 4.0, 0.9, 2.2])
-    ball = whole_space_ball(sp)
+    ball = whole_ball(sp)
     base = luxemburg_norm(sp, f, ball, PowerLog(2.0, 1.0))
     scaled = luxemburg_norm(sp, c * f, ball, PowerLog(2.0, 1.0))
     assert scaled == pytest.approx(c * base, rel=1e-9)
@@ -290,7 +290,7 @@ def test_norm_monotone_in_exponent_and_pointwise_phi():
     rng = np.random.default_rng(13)
     sp = random_cloud(rng, 8)
     f = 10.0 ** rng.uniform(-1, 1, 8)
-    ball = whole_space_ball(sp)
+    ball = whole_ball(sp)
     qs = [1.0, 1.5, 2.0, 3.0, 10.0]
     norms = [luxemburg_norm(sp, f, ball, Power(q)) for q in qs]
     assert all(a <= b * (1 + 1e-9) for a, b in zip(norms, norms[1:]))

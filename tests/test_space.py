@@ -21,7 +21,6 @@ from shtlab.space import (
     check_engulfing,
     dilate_ball,
     space_profile,
-    whole_space_ball,
 )
 from shtlab.suite import default_manifest
 
@@ -108,6 +107,12 @@ def test_grid_2d_l2():
     assert sp.dist[0, 3] == pytest.approx(np.sqrt(2))
 
 
+def test_grid_points_are_row_major():
+    sp = build_space({"type": "grid", "shape": [2, 3], "metric": "l1"})
+    ij = np.array([(k // 3, k % 3) for k in range(6)])  # point k sits at row k // 3
+    assert np.array_equal(sp.dist, np.abs(ij[:, None, :] - ij[None, :, :]).sum(axis=2))
+
+
 # ---------------------------------------------------------------- profiling
 
 
@@ -154,12 +159,13 @@ def per_center_c_mu(space):
 
 
 def test_space_with_cached_table_is_freed_without_the_collector():
-    # no reference cycle: a space and its table go as soon as the last
-    # reference does, not at the collector's next full pass
+    # no reference cycle: a space with its table and profile goes as soon as
+    # the last reference does, not at the collector's next full pass
     gc.disable()
     try:
         sp = build_space({"type": "grid", "shape": [6], "metric": "l1", "mass": "uniform"})
         ball_table(sp)
+        space_profile(sp)
         ref = weakref.ref(sp)
         del sp
         assert ref() is None
@@ -194,7 +200,13 @@ def test_kappa_equals_dense_formula(monkeypatch):
     for sp in spaces:
         assert space_profile(sp).kappa == dense_kappa(sp)
     monkeypatch.setattr("shtlab.space.WORKSPACE_ELEMENTS", 2 * 9 * 9)  # chunks of 2 rows
-    assert space_profile(spaces[-1]).kappa == dense_kappa(spaces[-1]) == pytest.approx(2**0.7, rel=1e-12)
+    # a fresh space: the profile cached on the last one would answer unchunked
+    sp = QuasiMetricSpace(snowflake, np.ones(9))
+    assert space_profile(sp).kappa == dense_kappa(sp) == pytest.approx(2**0.7, rel=1e-12)
+
+
+def test_profile_is_cached_on_the_space(line4):
+    assert space_profile(line4) is space_profile(line4)
 
 
 def test_kappa_certifies_quasitriangle():
@@ -272,11 +284,6 @@ def test_dilate_ball(line4):
     assert list(ball_members(line4, dilate_ball(Ball(0, 1.0), 5.0))) == [0, 1, 2, 3]
     with pytest.raises(InputError):
         dilate_ball(Ball(0, 1.0), 0.5)
-
-
-def test_whole_space_ball(line4, one_point):
-    assert list(ball_members(line4, whole_space_ball(line4))) == [0, 1, 2, 3]
-    assert list(ball_members(one_point, whole_space_ball(one_point))) == [0]
 
 
 # ---------------------------------------------------------------- checks

@@ -472,6 +472,18 @@ def test_options_a_command_does_not_read_exit_2(files, capsys, command, option):
     assert captured.out == "" and "unrecognized arguments" in captured.err
 
 
+def test_manifest_rounding_keeps_per_element_bits_and_nesting():
+    from shtlab.suite import _round
+
+    rng = np.random.default_rng(12)
+    for shape in ((7,), (5, 6)):
+        values = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-6, 6, size=shape)
+        got = _round(values)
+        assert np.shape(got) == shape
+        flat = [v for row in got for v in row] if len(shape) == 2 else got
+        assert [v.hex() for v in flat] == [float(np.round(v, 12)).hex() for v in values.ravel()]
+
+
 def test_verify_command_small_manifest(tmp_path, capsys):
     from shtlab.suite import default_manifest
 
@@ -525,6 +537,16 @@ def test_grid_too_large_for_the_workspace_exits_2(files, capsys, monkeypatch):
     for shape in ([6], [2, 3]):
         with pytest.raises(InputError, match="grid 'shape'.*exceed 32 elements"):
             build_space({"type": "grid", "shape": shape})
+
+
+def test_grid_of_three_or_four_dimensions_exits_2(files, capsys):
+    # the dimension is refused first, before the size check and any allocation
+    for shape in ([2, 2, 2], [400, 400, 400], [2, 2, 2, 2], [10**400, 1, 1, 1]):
+        path = _write(files["dir"] / "grid.json", {"type": "grid", "shape": shape})
+        assert main(["profile", "--space", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"grid shape must have 1 or 2 entries, got {shape}" in captured.err
 
 
 def _write(path, obj):

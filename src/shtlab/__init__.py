@@ -35,8 +35,6 @@ from .weights import (
     constants_report,
 )
 from .czdecomp import (
-    CZConfig,
-    cz_config,
     CZDecomposition,
     cz_decompose,
     verify_cz_properties,

@@ -13,7 +13,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .czdecomp import cz_config, cz_decompose, multi_level_decompose, verify_cz_properties, verify_disjointing
+from .czdecomp import cz_decompose, multi_level_decompose, verify_cz_properties, verify_disjointing
 from .errors import InputError
 from .space import Ball, ball_table, space_profile
 from .specio import load_json, parse_phi, parse_space, parse_weight
@@ -54,9 +54,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--f", required=True, help="function vector (JSON file)")
     sp.add_argument("--lambda", dest="lam", type=float, help="level; omit for multi-level mode")
-    sp.add_argument("--a", type=float, help="level base override")
-    sp.add_argument("--eta", type=float, help="selection window constant override")
-    sp.add_argument("--allow-small-a", action="store_true", help="accept a below the disjointing requirement")
+    sp.add_argument("--a", type=float, help="level base override (multi-level mode)")
+    sp.add_argument("--allow-small-a", action="store_true",
+                    help="accept a below the disjointing requirement (multi-level mode)")
 
     sp = sub.add_parser("opnorm", help="operator-norm lower-bound search")
     common(sp)
@@ -144,12 +144,13 @@ def _ball_json(tbl, r) -> dict:
 def _cmd_cz(args) -> int:
     space = parse_space(load_json(args.space))
     f = parse_weight(args.f, space)
-    profile = space_profile(space)
-    config = cz_config(profile, eta=args.eta, a=args.a)
     tbl = ball_table(space)
     if args.lam is not None:
+        for option, given in (("--a", args.a is not None), ("--allow-small-a", args.allow_small_a)):
+            if given:
+                raise InputError(f"{option} applies to multi-level mode only (omit --lambda)")
         dec = cz_decompose(space, f, args.lam)
-        check = verify_cz_properties(space, dec, f, config)
+        check = verify_cz_properties(space, dec, f)
         obj = {
             "lambda": dec.level,
             "omega": [int(x) for x in dec.omega],
@@ -158,10 +159,10 @@ def _cmd_cz(args) -> int:
             "undilated_exceedances": check["undilated_exceedances"],
         }
     else:
-        fam = multi_level_decompose(space, f, config, allow_small_a=args.allow_small_a)
-        check = verify_disjointing(space, fam, config)
+        fam = multi_level_decompose(space, f, args.a, allow_small_a=args.allow_small_a)
+        check = verify_disjointing(space, fam)
         obj = {
-            "a": config.a,
+            "a": fam.a,
             "k0": fam.k0,
             "levels": [
                 {

@@ -9,7 +9,7 @@ every eta > 1 simultaneously), then keep a Vitali subfamily: sort by radius
 descending, center ascending, keep a ball iff disjoint from all kept so far.
 A selected ball is a row of the space's ``BallTable``.
 
-Guarantees, with theta = 4*kappa**2 + kappa:
+Guarantees, with theta and eta read off the space's ``SpaceProfile``:
 
   i)   union(B_i) within Omega within union(theta*B_i);
   ii)  avg_{B_i} f > lam;
@@ -17,7 +17,7 @@ Guarantees, with theta = 4*kappa**2 + kappa:
        avg over its eta-dilate at most lam.
 
 Multi-level: levels lam = a**k for k >= k0, where a**(k0-1) < avg_X f <= a**k0.
-With eta = kappa**2*(4*kappa+3) and level base a the disjointing bound
+With level base a the disjointing bound
 
     mu(B_i^k intersect Omega_{k+1}) < (4*theta*eta)**d_mu / a * mu(B_i^k)
 
@@ -34,12 +34,9 @@ import numpy as np
 
 from .errors import InputError, PreconditionError
 from .maximal import hl_maximal
-from .space import QuasiMetricSpace, SpaceProfile, as_field, ball_table
+from .space import QuasiMetricSpace, as_field, ball_table, space_profile
 
 __all__ = [
-    "CZConfig",
-    "cz_config",
-    "required_level_base",
     "CZDecomposition",
     "cz_decompose",
     "verify_cz_properties",
@@ -50,58 +47,6 @@ __all__ = [
 ]
 
 _MAX_LEVELS = 10**6
-
-
-@dataclass(frozen=True)
-class CZConfig:
-    """Structural constants driving the decomposition.
-
-    theta = 4*kappa**2 + kappa; eta defaults to kappa**2*(4*kappa+3); the
-    level base a defaults to the smallest integer >= max(2*(4*theta*eta)**d_mu,
-    (2*eta)**d_mu + 1).
-    """
-
-    theta: float
-    eta: float
-    a: float
-    d_mu: float
-
-    @property
-    def disjointing_base(self) -> float:
-        """2*(4*theta*eta)**d_mu, the least level base that forces mu(B_i^k) <= 2*mu(E_i^k)."""
-        return 2.0 * (4.0 * self.theta * self.eta) ** self.d_mu
-
-
-def required_level_base(theta: float, eta: float, d_mu: float) -> float:
-    disjointing = CZConfig(theta=theta, eta=eta, a=math.nan, d_mu=d_mu).disjointing_base
-    return max(disjointing, (2.0 * eta) ** d_mu + 1.0)
-
-
-def cz_config(
-    profile: SpaceProfile,
-    eta: float | None = None,
-    a: float | None = None,
-) -> CZConfig:
-    kappa = profile.kappa
-    theta = 4.0 * kappa**2 + kappa
-    if eta is None:
-        eta = kappa**2 * (4.0 * kappa + 3.0)
-    if not 1 < eta < math.inf:
-        raise InputError(f"eta must be finite and exceed 1, got {eta}")
-    try:
-        need = required_level_base(theta, eta, profile.d_mu)
-    except OverflowError:
-        need = math.inf
-    if need == math.inf:
-        raise InputError(
-            f"level base 2*(4*theta*eta)**d_mu overflows: doubling order "
-            f"d_mu = {profile.d_mu:g}, theta = {theta:g}, eta = {eta:g}"
-        )
-    if a is None:
-        a = float(math.ceil(need))
-    if not 1 < a < math.inf:
-        raise InputError(f"level base a must be finite and exceed 1, got {a}")
-    return CZConfig(theta=theta, eta=eta, a=float(a), d_mu=profile.d_mu)
 
 
 @dataclass(frozen=True)
@@ -154,24 +99,21 @@ def cz_decompose(space: QuasiMetricSpace, f, lam: float) -> CZDecomposition:
     return CZDecomposition(level=float(lam), omega=omega, selected=rows)
 
 
-def verify_cz_properties(
-    space: QuasiMetricSpace,
-    dec: CZDecomposition,
-    f,
-    config: CZConfig,
-) -> dict:
+def verify_cz_properties(space: QuasiMetricSpace, dec: CZDecomposition, f) -> dict:
     """Re-assert disjointness and properties i)-iii) by exhaustive enumeration.
 
-    Set inclusions are exact; the two average comparisons carry a 1e-9 relative
-    arithmetic headroom, since the checker deliberately re-sums through a
-    different path than the selection and boundary levels (constant f, level
-    equal to an attained average) sit within an ulp of the comparison.
+    theta and eta are read off the space's profile.  Set inclusions are exact;
+    the two average comparisons carry a 1e-9 relative arithmetic headroom,
+    since the checker deliberately re-sums through a different path than the
+    selection and boundary levels (constant f, level equal to an attained
+    average) sit within an ulp of the comparison.
 
     Returns {"violations": [...], "undilated_exceedances": int}; the second
     field counts enclosing balls whose own (undilated) average exceeds the
     level, which is recorded but not asserted.
     """
     f = as_field(space, f)
+    profile = space_profile(space)
     tbl = ball_table(space)
     violations = []
     slack = 1e-9 * abs(dec.level)
@@ -190,7 +132,7 @@ def verify_cz_properties(
         violations.append(
             {"kind": "selected_outside_omega", "ball": tbl.ball(rows[i]), "point": int(y)}
         )
-    covered = tbl.dilated(config.theta)[rows].any(axis=0)
+    covered = tbl.dilated(profile.theta)[rows].any(axis=0)
     for x in dec.omega[~covered[dec.omega]]:
         violations.append({"kind": "uncovered_point", "point": int(x)})
 
@@ -202,9 +144,9 @@ def verify_cz_properties(
 
     # [i, r]: table ball r contains B_i (no member of B_i lies outside it) and
     # has radius >= eta * r(B_i)
-    big = ~(masks @ ~tbl.member.T) & (tbl.radii >= (config.eta * radii)[:, None])
+    big = ~(masks @ ~tbl.member.T) & (tbl.radii >= (profile.eta * radii)[:, None])
     undilated = 0
-    eta_dilates = tbl.dilated(config.eta)
+    eta_dilates = tbl.dilated(profile.eta)
     for i, r in np.argwhere(big):
         outer = eta_dilates[r]
         avg_out = float(fm[outer].sum() / space.mass[outer].sum())
@@ -234,6 +176,7 @@ class LevelEntry:
 
 @dataclass(frozen=True)
 class LevelFamily:
+    a: float                             # the level base
     k0: int
     entries: list[LevelEntry]
 
@@ -251,40 +194,40 @@ def _starting_level(avg: float, a: float) -> int:
     return k0
 
 
-def multi_level_decompose(
-    space: QuasiMetricSpace,
-    f,
-    config: CZConfig,
-    allow_small_a: bool = False,
-) -> LevelFamily:
-    """Decompositions at every level a**k from k0 up to the first empty level set."""
+def multi_level_decompose(space: QuasiMetricSpace, f, a: float | None = None,
+                          allow_small_a: bool = False) -> LevelFamily:
+    """Decompositions at every level a**k from k0 up to the first empty level set;
+    a defaults to the profile's ``level_base``; one below its ``disjointing_base`` needs
+    ``allow_small_a``."""
     f = as_field(space, f)
-    need = config.disjointing_base
-    if not allow_small_a and config.a < need:
+    profile = space_profile(space)
+    a = profile.level_base if a is None else float(a)
+    if not 1 < a < math.inf:
+        raise InputError(f"level base a must be finite and exceed 1, got {a}")
+    need = profile.disjointing_base  # refused here if it overflows: the checker reads it
+    if not allow_small_a and a < need:
         raise InputError(
-            f"level base a={config.a:g} below the disjointing requirement "
+            f"level base a={a:g} below the disjointing requirement "
             f"2*(4*theta*eta)**d_mu = {need:g}"
         )
     base_avg = _space_average(space, f)
     if base_avg <= 0:
         raise PreconditionError("f vanishes on the whole space")
-    k0 = _starting_level(base_avg, config.a)
+    k0 = _starting_level(base_avg, a)
     tbl = ball_table(space)
     mf = hl_maximal(space, f)
     avg = tbl.averages(f)
     # Omega_k is empty exactly when a**k >= max Mf; a**k_end was computed
     # here, so no power in the level loop can overflow
-    k_end = _starting_level(float(mf.max()), config.a)
+    k_end = _starting_level(float(mf.max()), a)
     if k_end - k0 > _MAX_LEVELS:
-        raise InputError(
-            f"level base a={config.a!r} gives {k_end - k0} levels, more than {_MAX_LEVELS}"
-        )
+        raise InputError(f"level base a={a!r} gives {k_end - k0} levels, more than {_MAX_LEVELS}")
 
     entries = []
     for k in range(k0, k_end):
-        lam = config.a**k
+        lam = a**k
         omega, rows = _select_level(space, tbl, mf, avg, lam)
-        in_next = mf > config.a ** (k + 1)
+        in_next = mf > a ** (k + 1)
         entries.append(
             LevelEntry(
                 k=k,
@@ -294,22 +237,23 @@ def multi_level_decompose(
                 pruned=[np.flatnonzero(tbl.member[r] & ~in_next) for r in rows],
             )
         )
-    return LevelFamily(k0=k0, entries=entries)
+    return LevelFamily(a=a, k0=k0, entries=entries)
 
 
-def verify_disjointing(space: QuasiMetricSpace, fam: LevelFamily, config: CZConfig) -> dict:
+def verify_disjointing(space: QuasiMetricSpace, fam: LevelFamily) -> dict:
     """Check the multi-level bounds and exact disjointness of the pruned sets.
 
     Asserts the strict overlap bound at every level; the two-fold mass bound
-    mu(B_i^k) <= 2*mu(E_i^k) is asserted only when the level base meets its
-    requirement (it is a consequence of the overlap bound there).  Mass
-    comparisons carry a 1e-12 relative grace for summation-order noise; the
-    disjointness check is exact.
+    mu(B_i^k) <= 2*mu(E_i^k) is asserted only when the family's level base
+    meets its requirement (it is a consequence of the overlap bound there).
+    Mass comparisons carry a 1e-12 relative grace for summation-order noise;
+    the disjointness check is exact.
     """
     violations = []
     grace = 1e-12
-    factor = (4.0 * config.theta * config.eta) ** config.d_mu / config.a
-    check_half = config.a >= config.disjointing_base
+    need = space_profile(space).disjointing_base
+    factor = need / (2.0 * fam.a)  # (4*theta*eta)**d_mu / a
+    check_half = fam.a >= need
     mass = space.mass
     tbl = ball_table(space)
 

@@ -105,11 +105,12 @@ def parse_phi(obj) -> YoungFunction:
     raise InputError(f"unknown Young function family {family!r}")
 
 
-def _num(obj: dict, key: str) -> float:
+def _num(obj: dict, key: str, where: str = "Young function spec") -> float:
+    """obj[key] as a float; InputError names ``where`` and key if it is not a number."""
     try:
         return float(obj[key])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"Young function spec requires numeric field {key!r}") from exc
+        raise InputError(f"{where} requires numeric field {key!r}") from exc
 
 
 def _make_power(s: float) -> Power:

@@ -21,7 +21,6 @@ import numpy as np
 
 from .czdecomp import (
     _space_average,
-    cz_config,
     cz_decompose,
     multi_level_decompose,
     verify_cz_properties,
@@ -30,7 +29,7 @@ from .czdecomp import (
 from .errors import InputError
 from .maximal import hl_maximal
 from .space import check_dilation_bounds, check_engulfing, space_profile
-from .specio import parse_phi, parse_space, parse_weight
+from .specio import _num, parse_phi, parse_space, parse_weight
 from .verify import (
     _ratio,
     _sawyer_ordering,
@@ -234,26 +233,28 @@ def run_suite(manifest: dict) -> tuple[dict, dict]:
         "probes": [],
     }
 
-    for inst in manifest.get("instances", []):
+    for where, inst in _items(manifest, "instances", ("space", "w", "sigma", "p")):
         name = inst["name"]
         space = parse_space(inst["space"])
         w = parse_weight(inst["w"], space)
         sigma = parse_weight(inst["sigma"], space)
-        p = float(inst["p"])
+        p = _num(inst, "p", where)
+        phis = inst.get("phis", _phi_specs(p))
+        if not isinstance(phis, list):
+            raise InputError(f"{where} field 'phis' must be a list of Young function specs")
         profile = space_profile(space)
-        config = cz_config(profile)
         entry: dict = {
             "name": name,
             "n": space.n,
             "p": p,
             "profile": asdict(profile),
-            "config": {"theta": config.theta, "eta": config.eta, "a": config.a},
+            "config": {"theta": profile.theta, "eta": profile.eta, "a": profile.level_base},
         }
 
         t0 = time.perf_counter()
         engulf_bad = check_engulfing(space, profile)
         dil_bad = check_dilation_bounds(
-            space, profile, [2.0, profile.engulf, config.theta, config.eta]
+            space, profile, [2.0, profile.engulf, profile.theta, profile.eta]
         )
         entry["space_checks"] = {"engulfing": len(engulf_bad), "dilation": len(dil_bad)}
         for b1, b2 in engulf_bad:
@@ -271,7 +272,7 @@ def run_suite(manifest: dict) -> tuple[dict, dict]:
 
         t0 = time.perf_counter()
         chains = []
-        for phi_spec in inst.get("phis", _phi_specs(p)):
+        for phi_spec in phis:
             phi = parse_phi(phi_spec)
             chain = verify_main_chain(space, w, sigma, p, phi)
             chains.append(chain)
@@ -320,15 +321,16 @@ def run_suite(manifest: dict) -> tuple[dict, dict]:
         report["instances"].append(entry)
 
     t0 = time.perf_counter()
-    for item in manifest.get("cz", []):
-        name, space, f, config = _decomposition_inputs(item)
-        dec = cz_decompose(space, f, float(item["lam"]))
-        check = verify_cz_properties(space, dec, f, config)
+    for where, item in _items(manifest, "cz", ("space", "f", "lam")):
+        name, space, f = _decomposition_inputs(item)
+        lam = _num(item, "lam", where)
+        dec = cz_decompose(space, f, lam)
+        check = verify_cz_properties(space, dec, f)
         report["cz"].append(
             {
                 "name": name,
                 "n": space.n,
-                "lambda": float(item["lam"]),
+                "lambda": lam,
                 "omega_size": int(dec.omega.size),
                 "selected": len(dec.selected),
                 "violations": len(check["violations"]),
@@ -340,15 +342,15 @@ def run_suite(manifest: dict) -> tuple[dict, dict]:
     clock("cz", t0)
 
     t0 = time.perf_counter()
-    for item in manifest.get("multilevel", []):
-        name, space, f, config = _decomposition_inputs(item)
-        fam = multi_level_decompose(space, f, config)
-        check = verify_disjointing(space, fam, config)
+    for _, item in _items(manifest, "multilevel", ("space", "f")):
+        name, space, f = _decomposition_inputs(item)
+        fam = multi_level_decompose(space, f)
+        check = verify_disjointing(space, fam)
         report["multilevel"].append(
             {
                 "name": name,
                 "n": space.n,
-                "a": config.a,
+                "a": fam.a,
                 "k0": fam.k0,
                 "levels": len(fam.entries),
                 "balls_per_level": [len(e.balls) for e in fam.entries],
@@ -370,8 +372,23 @@ def run_suite(manifest: dict) -> tuple[dict, dict]:
     return report, timings
 
 
+def _items(manifest: dict, section: str, fields: tuple):
+    """(where, item) per item of a manifest section; InputError names a
+    section that is not a list, an item that is not an object, or a missing field."""
+    items = manifest.get(section, [])
+    if not isinstance(items, list):
+        raise InputError(f"manifest section {section!r} must be a list, got {type(items).__name__}")
+    for i, item in enumerate(items):
+        where = f"manifest {section}[{i}]"
+        if not isinstance(item, dict):
+            raise InputError(f"{where} must be a JSON object")
+        missing = [key for key in ("name",) + fields if key not in item]
+        if missing:
+            raise InputError(f"{where} lacks field {missing[0]!r}")
+        yield f"{where} ({item['name']})", item
+
+
 def _decomposition_inputs(item: dict):
-    """(name, space, f, default config) of a cz or multilevel item."""
+    """(name, space, f) of a cz or multilevel item."""
     space = parse_space(item["space"])
-    f = parse_weight(item["f"], space)
-    return item["name"], space, f, cz_config(space_profile(space))
+    return item["name"], space, parse_weight(item["f"], space)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .czdecomp import cz_config
 from .errors import InputError
 from .maximal import hl_maximal
 from .orlicz import (
@@ -63,15 +62,16 @@ def verify_main_chain(
     The constants are the space's profile at the default level base.  Returns
     the report row: constants, both sides, their ratio ``slack``, ``passed``.
     """
-    config = cz_config(space_profile(space))
+    profile = space_profile(space)
+    a, theta = profile.level_base, profile.theta
     try:
-        constant = 4.0 * config.a**p * (2.0 * config.theta) ** ((p + 1.0) * config.d_mu)
+        constant = 4.0 * a**p * (2.0 * theta) ** ((p + 1.0) * profile.d_mu)
     except OverflowError:
         constant = math.inf
     if constant == math.inf:
         raise InputError(
             f"chain constant 4*a**p*(2*theta)**((p+1)*d_mu) overflows at p = {p:g}: "
-            f"doubling order d_mu = {config.d_mu:g}, a = {config.a:g}, theta = {config.theta:g}"
+            f"doubling order d_mu = {profile.d_mu:g}, a = {a:g}, theta = {theta:g}"
         )
     phibar = phi.conjugate()
     sawyer = sawyer_constant(space, w, sigma, p)
@@ -82,9 +82,9 @@ def verify_main_chain(
     return {
         "p": p,
         "phi": phi.label,
-        "a": config.a,
-        "theta": config.theta,
-        "d_mu": config.d_mu,
+        "a": a,
+        "theta": theta,
+        "d_mu": profile.d_mu,
         "sawyer": sawyer,
         "sawyer_p": sawyer**p,
         "bump": bump,

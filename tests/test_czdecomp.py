@@ -8,10 +8,8 @@ from shtlab.czdecomp import (
     CZDecomposition,
     LevelEntry,
     LevelFamily,
-    cz_config,
     cz_decompose,
     multi_level_decompose,
-    required_level_base,
     verify_cz_properties,
     verify_disjointing,
 )
@@ -32,51 +30,50 @@ from shtlab.specio import parse_space, parse_weight
 from shtlab.suite import default_manifest
 
 
-def line4_config(line4, **kw):
-    return cz_config(space_profile(line4), **kw)
-
-
 def test_config_defaults(line4):
-    cfg = line4_config(line4)
-    assert cfg.theta == 5.0
-    assert cfg.eta == 7.0
+    prof = space_profile(line4)
+    assert prof.theta == 5.0
+    assert prof.eta == 7.0
     # smallest integer >= max(2*(4*theta*eta)**d_mu, (2*eta)**d_mu + 1)
     d = math.log2(3.0)
-    assert cfg.a == math.ceil(max(2 * 140.0**d, 14.0**d + 1))
-    assert cfg.a == 5042.0
+    assert prof.disjointing_base == 2 * 140.0**d
+    assert prof.level_base == math.ceil(max(2 * 140.0**d, 14.0**d + 1))
+    assert prof.level_base == 5042.0
+    assert multi_level_decompose(line4, [8.0, 0, 0, 0]).a == prof.level_base
 
 
-def test_config_rejects_bad_overrides(line4):
-    with pytest.raises(InputError):
-        line4_config(line4, eta=1.0)
-    with pytest.raises(InputError):
-        line4_config(line4, a=1.0)
+@pytest.mark.parametrize("a", [1.0, 0.5, math.nan, math.inf])
+def test_multilevel_rejects_a_level_base_not_above_1(line4, a):
+    with pytest.raises(InputError, match="level base a must be finite and exceed 1"):
+        multi_level_decompose(line4, [8.0, 0, 0, 0], a, allow_small_a=True)
 
 
 @pytest.mark.parametrize("d_mu", [700.0, math.inf])
 def test_config_rejects_an_overflowing_level_base(d_mu):
     profile = SpaceProfile(kappa=1.0, c_mu=2.0**d_mu, d_mu=d_mu, engulf=3.0)
-    for a in (None, 4.0):
+    for name in ("disjointing_base", "level_base"):
         with pytest.raises(InputError, match=f"overflows: doubling order d_mu = {d_mu:g}"):
-            cz_config(profile, a=a)
+            getattr(profile, name)
 
 
-def test_required_level_base_monotone():
-    assert required_level_base(5.0, 7.0, 0.0) == 2.0
-    assert required_level_base(5.0, 7.0, 1.0) > required_level_base(5.0, 7.0, 0.5)
+def test_level_base_monotone():
+    def profile(d_mu):
+        return SpaceProfile(kappa=1.0, c_mu=2.0**d_mu, d_mu=d_mu, engulf=3.0)
+
+    assert profile(0.0).level_base == 2.0
+    assert profile(1.0).level_base > profile(0.5).level_base
 
 
 # ------------------------------------------------------------ single level
 
 
 def test_line4_spike_decomposition(line4):
-    cfg = line4_config(line4)
     f = np.array([8.0, 0.0, 0.0, 0.0])
     dec = cz_decompose(line4, f, 4.0)
     assert list(dec.omega) == [0]
     assert len(dec.selected) == 1
     assert list(ball_members(line4, ball_table(line4).ball(dec.selected[0]))) == [0]
-    report = verify_cz_properties(line4, dec, f, cfg)
+    report = verify_cz_properties(line4, dec, f)
     assert report["violations"] == []
 
 
@@ -90,11 +87,10 @@ def test_vitali_pass_keeps_the_larger_of_two_meeting_candidates(line4):
 
 
 def test_constant_field_empty_decomposition(line4):
-    cfg = line4_config(line4)
     f = np.full(4, 2.0)
     dec = cz_decompose(line4, f, 2.0)
     assert dec.is_empty and dec.omega.size == 0
-    assert verify_cz_properties(line4, dec, f, cfg)["violations"] == []
+    assert verify_cz_properties(line4, dec, f)["violations"] == []
 
 
 def test_level_below_average_rejected(line4):
@@ -111,7 +107,7 @@ def test_generated_levels_never_below_base_average():
         dec = cz_decompose(sp, f, item["lam"])
         if item["name"] in ("cz-069", "cz-313"):
             assert dec.is_empty
-            report = verify_cz_properties(sp, dec, f, cz_config(space_profile(sp)))
+            report = verify_cz_properties(sp, dec, f)
             assert report["violations"] == []
 
 
@@ -127,8 +123,6 @@ def test_properties_hold_on_random_instances():
     rng = np.random.default_rng(99)
     for trial in range(25):
         sp = random_cloud(rng, int(rng.integers(3, 12)), dim=1 + trial % 2)
-        prof = space_profile(sp)
-        cfg = cz_config(prof)
         f = np.zeros(sp.n)
         k = int(rng.integers(1, max(2, sp.n // 2)))
         f[rng.choice(sp.n, size=k, replace=False)] = 10.0 ** rng.uniform(0, 2, k)
@@ -136,7 +130,7 @@ def test_properties_hold_on_random_instances():
         avg = float((f * sp.mass).sum() / sp.mass.sum())
         lam = avg + rng.uniform(0, 0.95) * (mf.max() - avg)
         dec = cz_decompose(sp, f, lam)
-        report = verify_cz_properties(sp, dec, f, cfg)
+        report = verify_cz_properties(sp, dec, f)
         assert report["violations"] == []
 
 
@@ -146,7 +140,6 @@ def test_coverage_sandwich_measure_bound():
     for _ in range(10):
         sp = random_cloud(rng, 8)
         prof = space_profile(sp)
-        cfg = cz_config(prof)
         f = np.zeros(8)
         f[rng.choice(8, 2, replace=False)] = [6.0, 9.0]
         avg = float((f * sp.mass).sum() / sp.mass.sum())
@@ -156,10 +149,10 @@ def test_coverage_sandwich_measure_bound():
             continue
         mu_omega = sp.mass[dec.omega].sum()
         balls = [ball_table(sp).ball(r) for r in dec.selected]
-        dil = sum(sp.mass[sp.dist[b.center] < cfg.theta * b.radius].sum() for b in balls)
+        dil = sum(sp.mass[sp.dist[b.center] < prof.theta * b.radius].sum() for b in balls)
         plain = sum(sp.mass[ball_mask(sp, b)].sum() for b in balls)
         assert mu_omega <= dil * (1 + 1e-12)
-        assert dil <= (2 * cfg.theta) ** prof.d_mu * plain * (1 + 1e-12)
+        assert dil <= (2 * prof.theta) ** prof.d_mu * plain * (1 + 1e-12)
 
 
 # ------------------------------------------------ hand-built faulty families
@@ -181,7 +174,7 @@ def rows_of(space, balls):
 def check_hand_built(space, f, level, omega, balls):
     """The checker's report on the given balls, whatever the selection would pick."""
     dec = CZDecomposition(level=level, omega=np.array(omega, dtype=int), selected=rows_of(space, balls))
-    return verify_cz_properties(space, dec, np.array(f, dtype=float), cz_config(space_profile(space)))
+    return verify_cz_properties(space, dec, np.array(f, dtype=float))
 
 
 def test_overlapping_balls_are_named_pairwise(line8):
@@ -233,8 +226,9 @@ def test_enclosing_balls_whose_eta_dilate_exceeds_the_level(line8):
     assert report["undilated_exceedances"] == 8
 
 
-def loop_oracle(space, dec, f, config):
+def loop_oracle(space, dec, f):
     """The checker, ball by ball and pair by pair, from Ball objects."""
+    prof = space_profile(space)
     tbl = ball_table(space)
     slack = 1e-9 * abs(dec.level)
     omega_mask = np.zeros(space.n, dtype=bool)
@@ -250,7 +244,7 @@ def loop_oracle(space, dec, f, config):
     for ball, mask in zip(selected, masks):
         for y in np.nonzero(mask & ~omega_mask)[0]:
             violations.append({"kind": "selected_outside_omega", "ball": ball, "point": int(y)})
-        covered |= ball_mask(space, dilate_ball(ball, config.theta))
+        covered |= ball_mask(space, dilate_ball(ball, prof.theta))
     for x in dec.omega[~covered[dec.omega]]:
         violations.append({"kind": "uncovered_point", "point": int(x)})
     fm = f * space.mass
@@ -261,9 +255,9 @@ def loop_oracle(space, dec, f, config):
     undilated = 0
     for ball, mask in zip(selected, masks):
         for r in range(tbl.m):
-            outer = ball_mask(space, dilate_ball(tbl.ball(r), config.eta))
+            outer = ball_mask(space, dilate_ball(tbl.ball(r), prof.eta))
             inner = ball_mask(space, tbl.ball(r))
-            if (mask & ~inner).any() or tbl.radii[r] < config.eta * ball.radius:
+            if (mask & ~inner).any() or tbl.radii[r] < prof.eta * ball.radius:
                 continue
             avg_out = float(fm[outer].sum() / space.mass[outer].sum())
             if avg_out > dec.level + slack:
@@ -287,9 +281,8 @@ def test_checker_matches_a_loop_oracle_on_random_selections():
             selected=rows,
         )
         f = rng.uniform(0.0, 3.0, sp.n)
-        cfg = cz_config(space_profile(sp))
-        report = verify_cz_properties(sp, dec, f, cfg)
-        assert report == loop_oracle(sp, dec, f, cfg)
+        report = verify_cz_properties(sp, dec, f)
+        assert report == loop_oracle(sp, dec, f)
         kinds |= {v["kind"] for v in report["violations"]}
     assert kinds == {"overlap", "selected_outside_omega", "uncovered_point", "low_average",
                      "window_violated"}
@@ -299,9 +292,9 @@ def test_checker_matches_a_loop_oracle_on_random_selections():
 
 
 def test_line4_multilevel_with_small_base(line4):
-    cfg = line4_config(line4, a=4.0)
     f = np.array([8.0, 0.0, 0.0, 0.0])
-    fam = multi_level_decompose(line4, f, cfg, allow_small_a=True)
+    fam = multi_level_decompose(line4, f, 4.0, allow_small_a=True)
+    assert fam.a == 4.0
     assert fam.k0 == 1  # 4**0 < avg(=2) <= 4**1
     assert len(fam.entries) == 1
     entry = fam.entries[0]
@@ -309,26 +302,23 @@ def test_line4_multilevel_with_small_base(line4):
     assert list(entry.omega) == [0]
     assert [list(ball_members(line4, ball_table(line4).ball(r))) for r in entry.balls] == [[0]]
     assert [list(e) for e in entry.pruned] == [[0]]
-    assert verify_disjointing(line4, fam, cfg)["violations"] == []
+    assert verify_disjointing(line4, fam)["violations"] == []
 
 
 def test_small_base_rejected_without_override(line4):
-    cfg = line4_config(line4, a=4.0)
     with pytest.raises(InputError, match="2\\*\\(4\\*theta\\*eta\\)"):
-        multi_level_decompose(line4, np.ones(4), cfg)
+        multi_level_decompose(line4, np.ones(4), 4.0)
 
 
 def test_constant_field_gives_empty_family(line4):
-    cfg = line4_config(line4)
-    fam = multi_level_decompose(line4, np.full(4, 3.0), cfg)
+    fam = multi_level_decompose(line4, np.full(4, 3.0))
     assert fam.entries == []
-    assert 1 < 3.0 / cfg.a ** (fam.k0 - 1) and 3.0 <= cfg.a**fam.k0
+    assert 1 < 3.0 / fam.a ** (fam.k0 - 1) and 3.0 <= fam.a**fam.k0
 
 
 def test_zero_field_rejected(line4):
-    cfg = line4_config(line4)
     with pytest.raises(PreconditionError, match="vanishes"):
-        multi_level_decompose(line4, np.zeros(4), cfg)
+        multi_level_decompose(line4, np.zeros(4))
 
 
 def level_entry(space, k, omega, balls, pruned):
@@ -342,20 +332,21 @@ def level_entry(space, k, omega, balls, pruned):
 
 
 def hand_built_family(space, *entries):
-    cfg = cz_config(space_profile(space))  # the default a meets the half-mass requirement
-    fam = LevelFamily(k0=entries[0].k, entries=list(entries))
-    return verify_disjointing(space, fam, cfg), cfg
+    # the default a meets the half-mass requirement
+    fam = LevelFamily(a=space_profile(space).level_base, k0=entries[0].k, entries=list(entries))
+    return verify_disjointing(space, fam), fam
 
 
 def test_a_ball_mostly_inside_the_next_level_set_breaks_the_overlap_bound(line8):
     # the factor (4*theta*eta)**d_mu / a is about 1/2 on the line, and
     # Omega_{k+1} holds all of B(0, 2) = {0, 1}
-    report, cfg = hand_built_family(
+    report, fam = hand_built_family(
         line8,
         level_entry(line8, 1, [0, 1, 2], [Ball(0, 2.0), Ball(2, 1.0)], [[0, 1], [2]]),
         level_entry(line8, 2, [0, 1], [], []),
     )
-    factor = (4.0 * cfg.theta * cfg.eta) ** cfg.d_mu / cfg.a
+    prof = space_profile(line8)
+    factor = (4.0 * prof.theta * prof.eta) ** prof.d_mu / fam.a
     assert report["violations"] == [
         {"kind": "overlap_bound", "k": 1, "ball": Ball(0, 2.0), "mu_overlap": 2.0, "bound": factor * 2.0}
     ]
@@ -387,21 +378,19 @@ def cascade_space(n=22, ratio=2.0, growth=4.0):
 
 def test_cascade_produces_multiple_levels():
     sp = cascade_space()
-    prof = space_profile(sp)
-    cfg = cz_config(prof)
     f = np.zeros(sp.n)
     f[0] = 1.0
-    fam = multi_level_decompose(sp, f, cfg)
+    fam = multi_level_decompose(sp, f)
     assert len(fam.entries) >= 2
     # consecutive levels, each nonempty, up to the first empty level set
     assert [e.k for e in fam.entries] == list(range(fam.k0, fam.k0 + len(fam.entries)))
     assert all(e.omega.size for e in fam.entries)
-    assert hl_maximal(sp, f).max() <= cfg.a ** (fam.entries[-1].k + 1)
-    report = verify_disjointing(sp, fam, cfg)
+    assert hl_maximal(sp, f).max() <= fam.a ** (fam.entries[-1].k + 1)
+    report = verify_disjointing(sp, fam)
     assert report["violations"] == []
     # starting bracket
     avg = float((f * sp.mass).sum() / sp.mass.sum())
-    assert cfg.a ** (fam.k0 - 1) < avg <= cfg.a**fam.k0
+    assert fam.a ** (fam.k0 - 1) < avg <= fam.a**fam.k0
     # pruned sets pairwise disjoint across all levels (exact)
     seen = set()
     for entry in fam.entries:
@@ -413,11 +402,9 @@ def test_cascade_produces_multiple_levels():
 
 def test_multilevel_respects_omega_nesting():
     sp = cascade_space(n=18, ratio=2.5, growth=3.0)
-    prof = space_profile(sp)
-    cfg = cz_config(prof)
     f = np.zeros(sp.n)
     f[[0, 2]] = [5.0, 1.0]
-    fam = multi_level_decompose(sp, f, cfg)
+    fam = multi_level_decompose(sp, f)
     mf = hl_maximal(sp, f)
     for entry in fam.entries:
         omega = set(int(x) for x in entry.omega)

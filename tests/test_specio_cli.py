@@ -14,11 +14,11 @@ import shtlab
 from conftest import random_cloud
 from shtlab import cli
 from shtlab.cli import main
-from shtlab.czdecomp import cz_config, cz_decompose, multi_level_decompose
+from shtlab.czdecomp import cz_decompose, multi_level_decompose
 from shtlab.errors import InputError
 from shtlab.maximal import hl_maximal
 from shtlab.orlicz import Power, PowerLog
-from shtlab.space import Ball, ball_members, ball_table, build_space, space_profile
+from shtlab.space import Ball, ball_members, ball_table, build_space
 from shtlab.specio import parse_phi, parse_space, parse_weight
 
 
@@ -294,10 +294,9 @@ def test_cz_report_balls_match_open_ball_members(tmp_path, capsys):
         code, out = run_cli(common + ["--lambda", repr(lam)], capsys)
         assert code == 0
         assert json.loads(out)["balls"] == open_ball_json(sp, cz_decompose(sp, f, lam).selected)
-        cfg = cz_config(space_profile(sp), a=4.0)
         code, out = run_cli(common + ["--a", "4", "--allow-small-a"], capsys)
         assert code == 0
-        fam = multi_level_decompose(sp, f, cfg, allow_small_a=True)
+        fam = multi_level_decompose(sp, f, 4.0, allow_small_a=True)
         reported = [e["balls"] for e in json.loads(out)["levels"]]
         assert reported == [open_ball_json(sp, e.balls) for e in fam.entries]
         levels += len(fam.entries)
@@ -369,8 +368,7 @@ def test_malformed_spec_exits_2(files, capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "option", [["--lambda", "nan"], ["--lambda", "inf"], ["--a", "nan"], ["--a", "inf"],
-               ["--eta", "nan"], ["--eta", "inf"]],
+    "option", [["--lambda", "nan"], ["--lambda", "inf"], ["--a", "nan"], ["--a", "inf"]],
     ids=" ".join,
 )
 def test_cz_non_finite_option_exits_2(files, capsys, option):
@@ -378,6 +376,16 @@ def test_cz_non_finite_option_exits_2(files, capsys, option):
         ["cz", "--space", files["space"], "--f", files["spike"], *option], capsys
     )
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("option", [["--a", "3"], ["--allow-small-a"]], ids=" ".join)
+def test_cz_level_base_options_refused_in_single_level_mode(files, capsys, option):
+    # a single level reads no level base, so these options would do nothing
+    assert main(["cz", "--space", files["space"], "--f", files["spike"], "--lambda", "4",
+                 *option]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{option[0]} applies to multi-level mode only" in captured.err
 
 
 def test_cz_level_base_near_one_exits_2(files, capsys):
@@ -498,6 +506,31 @@ def test_verify_command_small_manifest(tmp_path, capsys):
     assert rep["summary"]["instances"] == 3
 
 
+LINE4 = {"type": "grid", "shape": [4]}
+GOOD_INSTANCE = {"name": "x", "space": LINE4, "w": [1, 1, 1, 1], "sigma": [1, 1, 1, 1], "p": 2.0}
+MALFORMED_MANIFESTS = {
+    "missing space": ({"instances": [{"name": "x"}]}, "manifest instances[0] lacks field 'space'"),
+    "p not a number": ({"instances": [{**GOOD_INSTANCE, "p": "abc"}]},
+                       "manifest instances[0] (x) requires numeric field 'p'"),
+    "cz without lam": ({"cz": [{"name": "c", "space": LINE4, "f": [8, 0, 0, 0]}]},
+                       "manifest cz[0] lacks field 'lam'"),
+    "instances not a list": ({"instances": "abc"},
+                             "manifest section 'instances' must be a list, got str"),
+    "phis a string": ({"instances": [{**GOOD_INSTANCE, "phis": "power:2"}]},
+                      "manifest instances[0] (x) field 'phis' must be a list"),
+    "item not an object": ({"multilevel": [3]}, "manifest multilevel[0] must be a JSON object"),
+    "missing name": ({"cz": [{"space": LINE4}]}, "manifest cz[0] lacks field 'name'"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_MANIFESTS)
+def test_malformed_manifest_exits_2_naming_the_field(tmp_path, capsys, case):
+    manifest, message = MALFORMED_MANIFESTS[case]
+    assert main(["verify", "--manifest", _write(tmp_path / "m.json", manifest)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
 def test_verify_exit_one_on_violation(tmp_path, monkeypatch):
     import shtlab.cli as cli
 
@@ -567,7 +600,6 @@ def test_extreme_masses_exit_2(files, capsys):
     path = _write(d / "extreme.json", space)
     cases = [
         (["cz", "--space", path, "--f", files["spike"]], "doubling order d_mu = 664.386"),
-        (["cz", "--space", path, "--f", files["spike"], "--lambda", "4"], "doubling order"),
         (["verify", "--manifest", _write(d / "m.json", _manifest(space, [1, 1, 1, 1]))],
          "doubling order"),
         (["constants", "--space", path, "--w", files["ones"], "--sigma", files["ones"],
@@ -577,6 +609,30 @@ def test_extreme_masses_exit_2(files, capsys):
         assert main(args) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and message in captured.err
+    # a single level reads no level base, so the doubling order does not matter
+    code, out = run_cli(["cz", "--space", path, "--f", files["spike"], "--lambda", "4"], capsys)
+    assert code == 0 and json.loads(out)["violations"] == []
+
+
+def test_single_level_cz_on_a_huge_doubling_order(files, capsys):
+    # d_mu = 332.193: the default level base overflows, but a single level and
+    # a manifest's cz item read only theta and eta
+    d = files["dir"]
+    line = [[abs(i - j) for j in range(4)] for i in range(4)]
+    space = {"type": "explicit", "dist": line, "mass": [1e-100, 1, 1, 1e100]}
+    path = _write(d / "big.json", space)
+    code, out = run_cli(["cz", "--space", path, "--f", files["spike"], "--lambda", "1"], capsys)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["violations"] == [] and rep["omega"] == [0]
+    manifest = {"seed": 1, "cz": [{"name": "c", "space": space, "f": [8, 0, 0, 0], "lam": 1.0}]}
+    code, out = run_cli(["verify", "--manifest", _write(d / "m.json", manifest)], capsys)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["violations"] == [] and rep["cz"][0]["selected"] == 1
+    for small in ([], ["--a", "4", "--allow-small-a"]):
+        assert main(["cz", "--space", path, "--f", files["spike"], *small]) == 2
+        assert "doubling order d_mu = 332.193" in capsys.readouterr().err
 
 
 def test_overflowing_chain_constant_exits_2(files, capsys):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from conftest import random_cloud
-from shtlab.czdecomp import cz_config
 from shtlab.errors import InputError
 from shtlab.orlicz import Power, PowerLog, alpha_p
 from shtlab.space import space_profile
@@ -213,7 +212,6 @@ def test_appendix_bump_ones_any_r(line4):
 
 def test_chain_constant_matches_formula(line4):
     prof = space_profile(line4)
-    cfg = cz_config(prof)
     rep = verify_main_chain(line4, ONES4, ONES4, 2.0, Power(2))
-    expect = 4.0 * cfg.a**2 * (2.0 * cfg.theta) ** (3.0 * prof.d_mu)
+    expect = 4.0 * prof.level_base**2 * (2.0 * prof.theta) ** (3.0 * prof.d_mu)
     assert rep["bound"] == pytest.approx(expect, rel=1e-9)

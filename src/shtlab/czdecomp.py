@@ -1,12 +1,13 @@
 """Stopping-time (Calderon-Zygmund) decomposition and multi-level disjointing.
 
 Single level: given a nonnegative f on the whole (bounded) space X and a level
-lam >= avg_X f, the set Omega = {x : Mf(x) > lam} is covered by a disjoint
-family of selected balls.  For each x in Omega we take the canonical ball
-containing x of *maximal radius* whose f-average exceeds lam (the supremum over
-radii is attained on a finite space, which realizes the selection window for
-every eta > 1 simultaneously), then keep a Vitali subfamily: sort by radius
-descending, center ascending, keep a ball iff disjoint from all kept so far.
+lam >= avg_X f, the set Omega = {x : Mf(x) > lam} is covered by a disjoint family of
+selected balls.  On a finite space Omega is the points of the canonical balls
+averaging above lam, so no maximal function is evaluated.  For each x in Omega we
+take the canonical ball containing x of *maximal radius* whose f-average exceeds lam
+(the supremum over radii is attained on a finite space, which realizes the selection
+window for every eta > 1 simultaneously), then keep a Vitali subfamily: sort by
+radius descending, center ascending, keep a ball iff disjoint from all kept so far.
 A selected ball is a row of the space's ``BallTable``.
 
 Guarantees, with theta and eta read off the space's ``SpaceProfile``:
@@ -33,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, PreconditionError
-from .maximal import hl_maximal
 from .space import QuasiMetricSpace, as_field, ball_table, space_profile
 
 __all__ = [
@@ -69,15 +69,17 @@ def _space_average(space, f) -> float:
     return float(total / space.mass.sum())
 
 
-def _select_level(space, tbl, mf, avg, lam):
-    """Omega, and the rows of a maximal-radius candidate per point of Omega after greedy Vitali."""
-    omega = np.nonzero(mf > lam)[0]
-    # per point of Omega, the first admissible ball containing it in the
-    # maximal-radius order (radius descending, ties to the smallest center)
+def _select_level(tbl, avg, lam):
+    """Omega, the points of the balls averaging above lam (on a finite space {Mf > lam}:
+    no maximal function is evaluated), and the rows of a maximal-radius candidate per
+    point of Omega after greedy Vitali."""
+    # [i, x]: ball order[i] averages above lam and contains x, in the maximal-radius
+    # order (radius descending, ties to the smallest center)
     order = tbl.by_radius
-    candidate = (avg[order] > lam)[:, None] & tbl.member[np.ix_(order, omega)]
-    first = np.unique(candidate.argmax(axis=0))
-    union = np.zeros(space.n, dtype=bool)
+    candidate = (avg[order] > lam)[:, None] & tbl.member[order]
+    omega = np.flatnonzero(candidate.any(axis=0))
+    first = np.unique(candidate[:, omega].argmax(axis=0))
+    union = np.zeros(tbl.member.shape[1], dtype=bool)
     kept = []
     for r in order[first]:
         if not (tbl.member[r] & union).any():
@@ -95,7 +97,7 @@ def cz_decompose(space: QuasiMetricSpace, f, lam: float) -> CZDecomposition:
     if lam < base_avg:
         raise PreconditionError(f"level below base average: lam={lam} < {base_avg}")
     tbl = ball_table(space)
-    omega, rows = _select_level(space, tbl, hl_maximal(space, f), tbl.averages(f), lam)
+    omega, rows = _select_level(tbl, tbl.averages(f), lam)
     return CZDecomposition(level=float(lam), omega=omega, selected=rows)
 
 
@@ -215,19 +217,18 @@ def multi_level_decompose(space: QuasiMetricSpace, f, a: float | None = None,
         raise PreconditionError("f vanishes on the whole space")
     k0 = _starting_level(base_avg, a)
     tbl = ball_table(space)
-    mf = hl_maximal(space, f)
     avg = tbl.averages(f)
-    # Omega_k is empty exactly when a**k >= max Mf; a**k_end was computed
-    # here, so no power in the level loop can overflow
-    k_end = _starting_level(float(mf.max()), a)
+    # Omega_k is empty exactly when a**k >= max Mf, the largest ball average;
+    # a**k_end was computed here, so no power in the level loop can overflow
+    k_end = _starting_level(float(avg.max()), a)
     if k_end - k0 > _MAX_LEVELS:
         raise InputError(f"level base a={a!r} gives {k_end - k0} levels, more than {_MAX_LEVELS}")
 
     entries = []
     for k in range(k0, k_end):
         lam = a**k
-        omega, rows = _select_level(space, tbl, mf, avg, lam)
-        in_next = mf > a ** (k + 1)
+        omega, rows = _select_level(tbl, avg, lam)
+        in_next = tbl.member[avg > a ** (k + 1)].any(axis=0)
         entries.append(
             LevelEntry(
                 k=k,
@@ -261,10 +262,10 @@ def verify_disjointing(space: QuasiMetricSpace, fam: LevelFamily) -> dict:
     omega_next = [e.omega for e in fam.entries[1:]] + [np.empty(0, dtype=int)]
     seen = np.zeros(space.n, dtype=bool)
     for entry, nxt in zip(fam.entries, omega_next):
+        in_next = np.isin(np.arange(space.n), nxt)
         for r, pruned in zip(entry.balls, entry.pruned):
-            members = np.flatnonzero(tbl.member[r])
-            mu_ball = float(mass[members].sum())
-            mu_cap = float(mass[members[np.isin(members, nxt)]].sum())
+            mu_ball = float(mass[tbl.member[r]].sum())
+            mu_cap = float(mass[tbl.member[r] & in_next].sum())
             if not mu_cap < factor * mu_ball * (1.0 + grace):
                 violations.append(
                     {

@@ -27,8 +27,7 @@ from .czdecomp import (
     verify_disjointing,
 )
 from .errors import InputError
-from .maximal import hl_maximal
-from .space import check_dilation_bounds, check_engulfing, space_profile
+from .space import ball_table, check_dilation_bounds, check_engulfing, space_profile
 from .specio import _num, parse_phi, parse_space, parse_weight
 from .verify import (
     _ratio,
@@ -138,19 +137,18 @@ def _cz_instance(rng, idx) -> dict:
     else:
         f = np.full(n, float(np.round(rng.uniform(0.5, 4.0), 6)))
     f = np.asarray(_round(f))
-    mf = hl_maximal(space, f)
+    max_mf = float(ball_table(space).averages(f).max())  # max Mf: the largest ball average
     # the base average exactly as cz_decompose computes it; the rounded max Mf
     # of a constant f can sit an ulp below it
     avg = _space_average(space, f)
-    lam = avg + float(rng.uniform(0.0, 0.95)) * max(float(mf.max()) - avg, 0.0)
+    lam = avg + float(rng.uniform(0.0, 0.95)) * max(max_mf - avg, 0.0)
     return {"name": f"cz-{idx:03d}", "space": spec, "f": f.tolist(), "lam": float(lam)}
 
 
 def _multilevel_instance(rng, idx) -> dict:
     if rng.random() < 0.75:
         spec = _cascade_space_spec(rng)
-        space = parse_space(spec)
-        n = space.n
+        n = len(spec["mass"])
         f = np.zeros(n)
         light = max(2, n // 3)
         spikes = int(rng.integers(1, 4))
@@ -161,8 +159,7 @@ def _multilevel_instance(rng, idx) -> dict:
             f[0] = 1.0
     else:
         spec = _random_space_spec(rng)
-        space = parse_space(spec)
-        f = 10.0 ** rng.uniform(-1, 2, size=space.n)
+        f = 10.0 ** rng.uniform(-1, 2, size=len(spec["mass"]))
     return {"name": f"ml-{idx:03d}", "space": spec, "f": _round(f)}
 
 
@@ -235,9 +232,7 @@ def run_suite(manifest: dict) -> tuple[dict, dict]:
 
     for where, inst in _items(manifest, "instances", ("space", "w", "sigma", "p")):
         name = inst["name"]
-        space = parse_space(inst["space"])
-        w = parse_weight(inst["w"], space)
-        sigma = parse_weight(inst["sigma"], space)
+        space, w, sigma = _inputs(where, inst, "w", "sigma")
         p = _num(inst, "p", where)
         phis = inst.get("phis", _phi_specs(p))
         if not isinstance(phis, list):
@@ -322,7 +317,8 @@ def run_suite(manifest: dict) -> tuple[dict, dict]:
 
     t0 = time.perf_counter()
     for where, item in _items(manifest, "cz", ("space", "f", "lam")):
-        name, space, f = _decomposition_inputs(item)
+        name = item["name"]
+        space, f = _inputs(where, item, "f")
         lam = _num(item, "lam", where)
         dec = cz_decompose(space, f, lam)
         check = verify_cz_properties(space, dec, f)
@@ -342,8 +338,9 @@ def run_suite(manifest: dict) -> tuple[dict, dict]:
     clock("cz", t0)
 
     t0 = time.perf_counter()
-    for _, item in _items(manifest, "multilevel", ("space", "f")):
-        name, space, f = _decomposition_inputs(item)
+    for where, item in _items(manifest, "multilevel", ("space", "f")):
+        name = item["name"]
+        space, f = _inputs(where, item, "f")
         fam = multi_level_decompose(space, f)
         check = verify_disjointing(space, fam)
         report["multilevel"].append(
@@ -388,7 +385,11 @@ def _items(manifest: dict, section: str, fields: tuple):
         yield f"{where} ({item['name']})", item
 
 
-def _decomposition_inputs(item: dict):
-    """(name, space, f) of a cz or multilevel item."""
-    space = parse_space(item["space"])
-    return item["name"], space, parse_weight(item["f"], space)
+def _inputs(where: str, item: dict, *fields: str):
+    """(space, *vectors) of a manifest item, the vectors parsed from ``fields``;
+    an InputError from a parser is prefixed with the item's ``where``."""
+    try:
+        space = parse_space(item["space"])
+        return (space, *(parse_weight(item[key], space) for key in fields))
+    except InputError as exc:
+        raise InputError(f"{where}: {exc}") from exc

@@ -119,7 +119,14 @@ def test_decomposition_deterministic(line4):
     assert np.array_equal(a.omega, b.omega)
 
 
+def _base_average(sp, f):
+    return float((f * sp.mass).sum() / sp.mass.sum())
+
+
 def test_properties_hold_on_random_instances():
+    # Omega is read off the ball averages; it must be {Mf > lam} exactly, also for
+    # constant fields at their base average and at, or an ulp either side of, an
+    # attained ball average
     rng = np.random.default_rng(99)
     for trial in range(25):
         sp = random_cloud(rng, int(rng.integers(3, 12)), dim=1 + trial % 2)
@@ -127,11 +134,21 @@ def test_properties_hold_on_random_instances():
         k = int(rng.integers(1, max(2, sp.n // 2)))
         f[rng.choice(sp.n, size=k, replace=False)] = 10.0 ** rng.uniform(0, 2, k)
         mf = hl_maximal(sp, f)
-        avg = float((f * sp.mass).sum() / sp.mass.sum())
+        avg = _base_average(sp, f)
         lam = avg + rng.uniform(0, 0.95) * (mf.max() - avg)
-        dec = cz_decompose(sp, f, lam)
-        report = verify_cz_properties(sp, dec, f)
-        assert report["violations"] == []
+        above = np.unique(ball_table(sp).averages(f))
+        above = above[above >= avg]
+        attained = float(above[-1 - trial % min(3, len(above))])  # one of the 3 largest
+        constant = np.full(sp.n, 0.5 + trial / 8)
+        cases = [(f, lam), (constant, _base_average(sp, constant))] + [
+            (f, level)
+            for level in (attained, np.nextafter(attained, -np.inf), np.nextafter(attained, np.inf))
+            if level >= avg
+        ]
+        for g, level in cases:
+            dec = cz_decompose(sp, g, level)
+            assert np.array_equal(dec.omega, np.flatnonzero(hl_maximal(sp, g) > level))
+            assert verify_cz_properties(sp, dec, g)["violations"] == []
 
 
 def test_coverage_sandwich_measure_bound():

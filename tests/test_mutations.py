@@ -79,6 +79,11 @@ def reversed_vitali_order(monkeypatch):
            mutated(select, "for r in order[first]:", "for r in order[first][::-1]:"))
 
 
+def inclusive_level(monkeypatch):
+    select = czdecomp._select_level
+    rebind(monkeypatch, select, mutated(select, "avg[order] > lam", "avg[order] >= lam"))
+
+
 def window_over_subsets(monkeypatch):
     # the old property iii) test: table balls inside B_i, not around it
     check = czdecomp.verify_cz_properties
@@ -131,6 +136,8 @@ ROWS = [
         "ball iff disjoint from all kept so far.",
         reversed_vitali_order,
         czdecomp_tests.test_vitali_pass_keeps_the_larger_of_two_meeting_candidates, (4,)),
+    Row(czdecomp, "Omega = {x : Mf(x) > lam}", inclusive_level,
+        czdecomp_tests.test_constant_field_empty_decomposition, (4,)),
     Row(czdecomp,
         "iii) any canonical ball containing B_i with radius >= eta*r(B_i) has avg over "
         "its eta-dilate at most lam.",

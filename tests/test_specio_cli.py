@@ -520,6 +520,10 @@ MALFORMED_MANIFESTS = {
                       "manifest instances[0] (x) field 'phis' must be a list"),
     "item not an object": ({"multilevel": [3]}, "manifest multilevel[0] must be a JSON object"),
     "missing name": ({"cz": [{"space": LINE4}]}, "manifest cz[0] lacks field 'name'"),
+    "space not an object": ({"instances": [{**GOOD_INSTANCE, "space": 5, "w": [1], "sigma": [1]}]},
+                            "manifest instances[0] (x): space spec must be a JSON object"),
+    "f an unreadable file": ({"cz": [{"name": "c", "space": LINE4, "f": "nofile", "lam": 4.0}]},
+                             "manifest cz[0] (c): unreadable file: nofile"),
 }
 
 

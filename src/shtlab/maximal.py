@@ -4,13 +4,15 @@ The uncentered Hardy-Littlewood maximal function, its restriction to a ball's
 indicator, and the Orlicz variant all reduce to finite maxima because the
 canonical family realizes every achievable ball average (see ``space``).
 Inputs are required nonnegative; callers pass absolute values explicitly.
+``hl_maximal`` and ``orlicz_maximal`` take one field or a (..., n) stack of
+fields, and return one maximal function per field.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .orlicz import YoungFunction, luxemburg_norms_over_balls
-from .space import Ball, QuasiMetricSpace, as_field, ball_mask, ball_table
+from .space import Ball, QuasiMetricSpace, as_field, as_fields, ball_mask, ball_table
 
 __all__ = [
     "hl_maximal",
@@ -22,7 +24,7 @@ __all__ = [
 
 def hl_maximal(space: QuasiMetricSpace, f) -> np.ndarray:
     """Mf(x) = max over canonical balls containing x of the ball average of f."""
-    f = as_field(space, f)
+    f = as_fields(space, f)
     tbl = ball_table(space)
     return tbl.point_max(tbl.averages(f))
 
@@ -45,12 +47,8 @@ def restricted_maximal_table(space: QuasiMetricSpace, f) -> np.ndarray:
     return tbl.point_max(avg.T)
 
 
-def orlicz_maximal(
-    space: QuasiMetricSpace,
-    f,
-    phi: YoungFunction,
-) -> np.ndarray:
+def orlicz_maximal(space: QuasiMetricSpace, f, phi: YoungFunction) -> np.ndarray:
     """M_Phi f(x) = max over canonical balls containing x of ||f||_{Phi,B}."""
-    f = as_field(space, f)
-    norms = luxemburg_norms_over_balls(space, f[None, :], phi)[0]
-    return ball_table(space).point_max(norms)
+    f = as_fields(space, f)
+    norms = luxemburg_norms_over_balls(space, f, phi)
+    return ball_table(space).point_max(norms).reshape(f.shape)

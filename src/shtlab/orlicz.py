@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 from .space import (
-    Ball, QuasiMetricSpace, _float_array, as_field, ball_mask, ball_table, rows_per_chunk,
+    Ball, QuasiMetricSpace, as_field, as_fields, ball_mask, ball_table, rows_per_chunk,
 )
 
 __all__ = [
@@ -384,21 +384,13 @@ def luxemburg_norm(
     return float(norms[0, 0])
 
 
-def luxemburg_norms_over_balls(
-    space: QuasiMetricSpace,
-    fmat,
-    phi: YoungFunction,
-) -> np.ndarray:
-    """Norms of each row of ``fmat`` over every canonical ball, shape (k, m)."""
+def luxemburg_norms_over_balls(space: QuasiMetricSpace, fmat, phi: YoungFunction) -> np.ndarray:
+    """Norms of each row of ``fmat`` over every canonical ball: (..., n) ->
+    (..., m), and a single field gives (1, m)."""
     tbl = ball_table(space)
-    fmat = np.atleast_2d(_float_array(fmat, "fmat"))
-    if fmat.shape[1:] == (space.n,):
-        bad = np.flatnonzero(~((fmat >= 0) & (fmat < math.inf)).all(axis=1))[:1]
-    else:
-        bad = range(min(1, len(fmat)))
-    for i in bad:  # the first bad row; as_field names the fault
-        as_field(space, fmat[i], f"row {i} of fmat")
-    return _norms_core(tbl.member, tbl.weighted, tbl.mu, space.mass, fmat, phi)
+    fmat = np.atleast_2d(as_fields(space, fmat, "fmat"))
+    norms = _norms_core(tbl.member, tbl.weighted, tbl.mu, space.mass, fmat.reshape(-1, space.n), phi)
+    return norms.reshape(fmat.shape[:-1] + (tbl.m,))
 
 
 def alpha_p(phi: YoungFunction, p: float) -> float:

@@ -36,6 +36,7 @@ __all__ = [
     "QuasiMetricSpace",
     "BallTable",
     "as_field",
+    "as_fields",
     "build_space",
     "space_profile",
     "ball_table",
@@ -46,9 +47,9 @@ __all__ = [
     "check_dilation_bounds",
 ]
 
-# Element budget of one dense (rows, balls, points) workspace.  Every batched
-# reduction over the ball table (point maxima, Luxemburg sweeps) chunks its
-# leading rows to stay within it.
+# Element budget of one dense workspace: the (rows, balls, points) Luxemburg
+# sweep, the kappa profile and the engulfing check chunk their rows to stay
+# within it, and a grid whose (n, n, dim) difference array exceeds it is refused.
 WORKSPACE_ELEMENTS = 4_000_000
 
 
@@ -194,6 +195,28 @@ def as_field(space: QuasiMetricSpace, values, what: str = "field") -> np.ndarray
     return arr
 
 
+def as_fields(space: QuasiMetricSpace, values, what: str = "field") -> np.ndarray:
+    """``as_field`` of a field, or of each row of a (..., n) stack in C order;
+    the error names the first bad row."""
+    try:
+        arr = _float_array(values, what)
+    except InputError as exc:  # a ragged list of lists: name its first row that is no field
+        rows = values if isinstance(values, list) and values and isinstance(values[0], list) else []
+        for i, row in enumerate(rows):
+            try:
+                as_fields(space, row, f"row {i} of {what}")
+            except InputError as row_exc:
+                raise InputError(f"{exc}; {row_exc}") from None
+        raise
+    if arr.ndim < 2:
+        return as_field(space, arr, what)
+    rows = arr.reshape(-1, arr.shape[-1])
+    ok = ((rows >= 0) & (rows < math.inf)).all(axis=1) & (rows.shape[1] == space.n)
+    for i in np.flatnonzero(~ok)[:1]:  # as_field names the fault
+        as_field(space, rows[i], f"row {i} of {what}")
+    return arr
+
+
 _METRIC_ORDERS = {"l1": 1, "l2": 2, "linf": np.inf}
 
 
@@ -260,6 +283,7 @@ def space_profile(space: QuasiMetricSpace) -> SpaceProfile:
         kappa = max(kappa, float(ratio.max()))
     c_mu = 1.0
     tbl = ball_table(space)
+    outer, mass = tbl.dilated(2.0), space.mass
     # One product per center, not one over the table: OpenBLAS sums a row of
     # a bool-matrix @ mass product in an order that depends on where the row
     # sits in the block, and a table-wide product moves c_mu by an ulp.  Row
@@ -267,9 +291,8 @@ def space_profile(space: QuasiMetricSpace) -> SpaceProfile:
     # the chain constants that the benchmark references pin: the base moved on
     # 11 (row sums) and 1 (one product) of the 1,750 spaces of default_manifest(
     # seed, 50, 100, 100) at seven seeds, with numpy's OpenBLAS on one thread.
-    cuts = np.searchsorted(tbl.centers, np.arange(1, n))
-    for inner, outer in zip(np.split(tbl.member, cuts), np.split(tbl.dilated(2.0), cuts)):
-        c_mu = max(c_mu, float(np.max((outer @ space.mass) / (inner @ space.mass))))
+    for rows in map(slice, tbl.starts[:-1], tbl.starts[1:]):
+        c_mu = max(c_mu, float(np.max((outer[rows] @ mass) / (tbl.member[rows] @ mass))))
     space._profile = SpaceProfile(
         kappa=kappa,
         c_mu=c_mu,
@@ -315,7 +338,9 @@ class BallTable:
         keep = np.hstack([srt[:, 1:] > srt[:, :-1], np.ones_like(top, dtype=bool)])
         self.centers = np.nonzero(keep)[0]
         self.radii = np.hstack([srt[:, 1:], top])[keep]
+        self.starts = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
         self.member = self.dilated(1.0)
+        self.depth = np.add.reduceat(self.member, self.starts[:-1], axis=0, dtype=np.intp)
         self.weighted = self.member * space.mass[None, :]
         self.mu = self.weighted.sum(axis=1)
         self.by_radius = np.lexsort((self.centers, -self.radii))
@@ -333,26 +358,29 @@ class BallTable:
         return self.dist[self.centers] < (lam * self.radii)[:, None]
 
     def averages(self, f: np.ndarray) -> np.ndarray:
-        """Ball averages (1/mu(B)) * sum_B f dmu for all canonical balls."""
-        return (self.weighted @ f) / self.mu
+        """Ball averages (1/mu(B)) * sum_B f dmu for all canonical balls, of a
+        field, (n,) -> (m,), or of a stack of fields, (..., n) -> (..., m)."""
+        return (self.weighted @ f if f.ndim == 1 else f @ self.weighted.T) / self.mu
 
     def point_max(self, per_ball) -> np.ndarray:
         """Max over the balls containing each point, (..., m) -> (..., n).
 
-        The ball axis is last.  Leading rows are reduced in chunks that keep
-        the masked (rows, m, n) workspace within the element budget; the
-        result is C-contiguous.
+        The ball axis is last.  The balls of one center are nested, so those
+        that contain y are its depth[c, y] largest: a running maximum from
+        each center's largest ball down, read at depth, then the max over
+        centers.  The result is C-contiguous.
         """
         per_ball = np.asarray(per_ball, dtype=float)
-        rows = per_ball.reshape(-1, self.m)
-        n = self.dist.shape[0]
-        out = np.empty((rows.shape[0], n))
-        chunk = rows_per_chunk(self.member.size)
-        for start in range(0, rows.shape[0], chunk):
-            block = rows[start:start + chunk]
-            masked = np.where(self.member, block[:, :, None], -np.inf)
-            out[start:start + chunk] = masked.max(axis=1)
-        return out.reshape(per_ball.shape[:-1] + (n,))
+        n = self.depth.shape[0]
+        count = np.diff(self.starts)
+        # [j, c]: the row of the j-th largest ball of c; a center with fewer
+        # balls repeats its smallest, which leaves its running maximum as it is
+        down = np.minimum(np.arange(count.max())[:, None], count - 1)
+        run = np.take(np.moveaxis(per_ball, -1, 0), self.starts[1:] - 1 - down, axis=0)
+        np.maximum.accumulate(run, axis=0, out=run)
+        # [y, c]: run[depth[c, y] - 1, c]
+        read = run.reshape((-1,) + run.shape[2:])[(self.depth.T - 1) * n + np.arange(n)]
+        return np.ascontiguousarray(np.moveaxis(read.max(axis=1), 0, -1))
 
 
 def ball_table(space: QuasiMetricSpace) -> BallTable:

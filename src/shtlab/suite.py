@@ -281,8 +281,8 @@ def run_suite(manifest: dict) -> tuple[dict, dict]:
         t0 = time.perf_counter()
         est = opnorm_lower_bound(space, w, sigma, p, strategies=("indicators",))
         sawyer, ordering_ok = _sawyer_ordering(space, w, sigma, p, est)
-        replay = _ratio(space, w, sigma, p, est.witness)
-        if replay is None:
+        replay = float(_ratio(space, w, sigma, p, est.witness))  # alone, not in a stack
+        if np.isnan(replay):
             raise InputError("witness has zero norm")
         replay_ok = bool(abs(replay - est.value) <= 1e-9 * max(est.value, 1.0))
         entry["opnorm"] = {

@@ -106,12 +106,12 @@ class OpNormEstimate:
 
 
 def _ratio(space, w, sigma, p, f):
+    """||M(f sigma)||_{L^p(w)} / ||f||_{L^p(sigma)} of a field, or of each row
+    of a (k, n) stack; NaN where ||f||_{L^p(sigma)} vanishes."""
     mf = hl_maximal(space, f * sigma)
-    num = float(((mf**p) * w * space.mass).sum()) ** (1.0 / p)
-    den = float(((f**p) * sigma * space.mass).sum()) ** (1.0 / p)
-    if den == 0.0:
-        return None
-    return num / den
+    num = ((mf**p) * w * space.mass).sum(axis=-1) ** (1.0 / p)
+    den = ((f**p) * sigma * space.mass).sum(axis=-1) ** (1.0 / p)
+    return np.divide(num, den, out=np.full_like(num, np.nan), where=den > 0)
 
 
 def _sawyer_ordering(space, w, sigma, p, est: OpNormEstimate) -> tuple[float, bool]:
@@ -147,54 +147,43 @@ def opnorm_lower_bound(
         if s not in _KNOWN_STRATEGIES:
             raise InputError(f"unknown opnorm strategy {s!r}")
     tbl = ball_table(space)
-    best_val = -np.inf
-    best_f = None
-    trials = 0
+    best_val, best_f, trials = -np.inf, None, 0
 
-    def consider(f):
+    def consider(fields, gain=0.0):
+        """Evaluate a (k, n) stack of fields, accepting in row order each ratio
+        above the best by more than the relative gain; the last accepted row."""
         nonlocal best_val, best_f, trials
-        r = _ratio(space, w, sigma, p, f)
-        trials += 1
-        if r is not None and r > best_val:
-            best_val = r
-            best_f = f.copy()
+        accepted = None
+        for j, r in enumerate(_ratio(space, w, sigma, p, fields)):
+            if r > best_val * (1.0 + gain):  # a NaN ratio (zero norm) never is
+                best_val, best_f, accepted = r, fields[j].copy(), j
+        trials += len(fields)
+        return accepted
 
     if "indicators" in strategies:
-        # each distinct member set once, at its first row in table order
-        for b in np.sort(np.unique(tbl.member, axis=0, return_index=True)[1]):
-            consider(tbl.member[b].astype(float))
-    if "random" in strategies:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        for _ in range(24):  # random trials
-            consider(10.0 ** rng.uniform(-1.5, 1.5, size=space.n))
+        first = np.unique(tbl.member, axis=0, return_index=True)[1]  # each member set's first row
+        consider(tbl.member[np.sort(first)].astype(float))
+    if "random" in strategies:  # 24 random trials
+        rng = np.random.default_rng(0) if rng is None else rng
+        consider(10.0 ** rng.uniform(-1.5, 1.5, size=(24, space.n)))
     if best_f is None:
-        consider(np.ones(space.n))
+        consider(np.ones((1, space.n)))
     if "coordinate-ascent" in strategies and best_f is not None:
         f = best_f.copy()
         scale = max(float(f.max()), 1.0)
         for _ in range(40):  # coordinate-ascent passes
             improved = False
             for i in range(space.n):
-                base = f[i]
-                options = [base * 4.0, base * 2.0, base * 0.5, base * 0.25]
-                if base == 0.0:
-                    options = [scale * 0.25, scale]
-                for cand in options:
-                    f[i] = cand
-                    r = _ratio(space, w, sigma, p, f)
-                    trials += 1
-                    if r is not None and r > best_val * (1.0 + 1e-6):  # least relative gain
-                        best_val = r
-                        best_f = f.copy()
-                        base = cand
-                        improved = True
-                    f[i] = base
+                options = (f[i] * np.array([4.0, 2.0, 0.5, 0.25]) if f[i] > 0.0
+                           else scale * np.array([0.25, 1.0]))
+                stack = np.repeat(f[None, :], len(options), axis=0)
+                stack[:, i] = options
+                j = consider(stack, 1e-6)  # least relative gain
+                if j is not None:
+                    f[i], improved = options[j], True
             if not improved:
                 break
-    return OpNormEstimate(
-        value=float(best_val), witness=best_f, strategies=strategies, trials=trials
-    )
+    return OpNormEstimate(float(best_val), best_f, strategies, trials)
 
 
 def verify_reductions(

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import InputError
-from .maximal import restricted_maximal_table
+from .maximal import orlicz_maximal, restricted_maximal_table
 from .orlicz import (
     YoungFunction,
     luxemburg_norms_over_balls,
@@ -123,12 +123,7 @@ def bump_ap(
 
 
 @_finite
-def wp_constant(
-    space: QuasiMetricSpace,
-    sigma,
-    p: float,
-    phi: YoungFunction,
-) -> float:
+def wp_constant(space: QuasiMetricSpace, sigma, p: float, phi: YoungFunction) -> float:
     """Orlicz generalization of the Fujii-Wilson constant.
 
     sup over balls B with sigma(B) > 0 of
@@ -141,9 +136,7 @@ def wp_constant(
     sb = tbl.weighted @ sigma
     live = sb > 0
     g = sigma ** (1.0 / p)
-    fmat = g[None, :] * tbl.member[live]          # rows: g * chi_B
-    norms = luxemburg_norms_over_balls(space, fmat, phi)  # (k, m)
-    mphi = tbl.point_max(norms)                   # rows: M_Phi(g * chi_B)
+    mphi = orlicz_maximal(space, g[None, :] * tbl.member[live], phi)  # rows: M_Phi(g * chi_B)
     totals = (mphi**p * tbl.weighted[live]).sum(axis=1)
     return float(np.max(totals / sb[live]))
 

@@ -3,6 +3,7 @@
 where the fault is."""
 import math
 
+import numpy as np
 import pytest
 
 from shtlab.czdecomp import cz_decompose
@@ -67,3 +68,35 @@ def test_norm_matrix_rows_are_named(line4):
         luxemburg_norms_over_balls(line4, fmat, Power(2.0))
     with pytest.raises(InputError, match=r"row 0 of fmat must be a length-4 array, got shape \(5,\)"):
         luxemburg_norms_over_balls(line4, [ONES + [1.0]] * 2, Power(2.0))
+
+
+STACK_ENTRY_POINTS = {
+    "hl_maximal": lambda sp, v: hl_maximal(sp, v),
+    "orlicz_maximal": lambda sp, v: orlicz_maximal(sp, v, Power(2.0)),
+}
+
+BAD_STACKS = {
+    "nan": ([ONES, ONES, [1.0, 1.0, math.nan, 1.0]], "row 2 of field contains NaN at index 2"),
+    "ragged": ([ONES, [1.0, 1.0], ONES],
+               r"must be an array of numbers \(setting an array element.*; "
+               r"row 1 of field must be a length-4 array, got shape \(2,\)"),
+    "width": ([ONES + [1.0]] * 2, r"row 0 of field must be a length-4 array, got shape \(5,\)"),
+    "deep": ([[ONES, ONES], [ONES, [1.0, -1.0, 1.0, 1.0]]], "row 3 of field contains a negative value"),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_STACKS)
+@pytest.mark.parametrize("entry", STACK_ENTRY_POINTS)
+def test_stacks_name_the_bad_row(line4, entry, bad):
+    values, message = BAD_STACKS[bad]
+    with pytest.raises(InputError, match=message):
+        STACK_ENTRY_POINTS[entry](line4, values)
+
+
+@pytest.mark.parametrize("entry", STACK_ENTRY_POINTS)
+def test_a_stack_gives_one_maximal_function_per_row(line4, entry):
+    rows = [ONES, [4.0, 0.0, 0.0, 0.0], [0.0, 1.0, 2.0, 3.0]]
+    stacked = STACK_ENTRY_POINTS[entry](line4, rows)
+    single = [STACK_ENTRY_POINTS[entry](line4, row) for row in rows]
+    assert stacked.shape == (3, 4)
+    assert stacked == pytest.approx(np.array(single), rel=1e-11)

@@ -73,6 +73,12 @@ def dropped_ball(monkeypatch):
     monkeypatch.setattr(BallTable, "__init__", init_without_middle_row)
 
 
+def prefix_point_max(monkeypatch):
+    # a running maximum from each center's smallest ball up
+    point_max = mutated(BallTable.point_max, "self.starts[1:] - 1 - down", "self.starts[:-1] + down")
+    monkeypatch.setattr(BallTable, "point_max", point_max)
+
+
 def reversed_vitali_order(monkeypatch):
     select = czdecomp._select_level
     rebind(monkeypatch, select,
@@ -131,6 +137,10 @@ ROWS = [
         "per center the canonical radii (the positive distance values, plus one radius "
         "past the maximum) realize every achievable member set exactly once.",
         dropped_ball, space_tests.test_enumeration_covers_all_member_sets),
+    Row(BallTable.point_max,
+        "a running maximum from each center's largest ball down, read at depth, then the "
+        "max over centers.",
+        prefix_point_max, space_tests.test_point_max_equals_the_masked_form, (1, 2)),
     Row(czdecomp,
         "keep a Vitali subfamily: sort by radius descending, center ascending, keep a "
         "ball iff disjoint from all kept so far.",

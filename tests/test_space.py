@@ -286,6 +286,41 @@ def test_dilate_ball(line4):
         dilate_ball(Ball(0, 1.0), 0.5)
 
 
+def masked_point_max(tbl, per_ball):
+    """The max over the balls containing each point, from the full masked
+    (rows, m, n) array: the form that ``BallTable.point_max`` must equal."""
+    rows = np.asarray(per_ball, dtype=float).reshape(-1, tbl.m)
+    masked = np.where(tbl.member, rows[:, :, None], -np.inf)
+    return masked.max(axis=1).reshape(np.shape(per_ball)[:-1] + (tbl.dist.shape[0],))
+
+
+def tied_cloud(rng, n):
+    """n distinct points of a 4x4 integer lattice under l1: many tied distances."""
+    pts = np.argwhere(np.ones((4, 4)))[rng.choice(16, size=n, replace=False)]
+    dist = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2).astype(float)
+    return QuasiMetricSpace(dist, 10.0 ** rng.uniform(-1.5, 1.5, n))
+
+
+def test_point_max_equals_the_masked_form(one_point, two_point):
+    rng = np.random.default_rng(53)
+    spaces = [one_point, two_point]
+    spaces += [build_space({"type": "grid", "shape": shape, "metric": metric})
+               for shape, metric in [([5], "l1"), ([9], "l1"), ([3, 4], "l1"),
+                                     ([4, 4], "l2"), ([3, 3], "linf")]]
+    spaces += [tied_cloud(rng, int(rng.integers(3, 12))) for _ in range(4)]
+    spaces += [random_cloud(rng, int(rng.integers(2, 9)), dim=2) for _ in range(2)]
+    for sp in spaces:
+        tbl = ball_table(sp)
+        stack = 10.0 ** rng.uniform(-1, 1, size=(10, tbl.m))
+        stack[:, rng.integers(tbl.m)] = stack.max()  # a tie between balls
+        got = tbl.point_max(stack)
+        assert got.shape == (10, sp.n) and got.flags.c_contiguous
+        assert np.array_equal(got, masked_point_max(tbl, stack))
+        deep = stack.reshape(2, 5, tbl.m)
+        assert np.array_equal(tbl.point_max(deep), masked_point_max(tbl, deep))
+        assert np.array_equal(tbl.point_max(stack[3]), masked_point_max(tbl, stack[3]))
+
+
 # ---------------------------------------------------------------- checks
 
 

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import random_cloud
+from shtlab import suite, verify
 from shtlab.errors import InputError
 from shtlab.orlicz import Power, PowerLog, alpha_p
-from shtlab.space import space_profile
+from shtlab.space import ball_table, space_profile
 from shtlab.verify import (
+    _ratio,
     opnorm_lower_bound,
     probe_moen_and_norm,
     verify_appendix_bump,
@@ -99,6 +101,88 @@ def test_opnorm_witness_replays(line4):
     assert _ratio(line4, ATOM4, ONES4, 2.0, est.witness) == pytest.approx(
         est.value, rel=1e-9
     )
+
+
+def one_at_a_time_search(space, w, sigma, p, strategies, rng):
+    """The opnorm search with one ratio call per test field: (value, witness, trials)."""
+    best_val, best_f, trials = -np.inf, None, 0
+
+    def ratio(f):
+        r = float(_ratio(space, w, sigma, p, f))
+        return None if math.isnan(r) else r
+
+    def consider(f):
+        nonlocal best_val, best_f, trials
+        r = ratio(f)
+        trials += 1
+        if r is not None and r > best_val:
+            best_val, best_f = r, f.copy()
+
+    tbl = ball_table(space)
+    if "indicators" in strategies:
+        for b in np.sort(np.unique(tbl.member, axis=0, return_index=True)[1]):
+            consider(tbl.member[b].astype(float))
+    if "random" in strategies:
+        for _ in range(24):
+            consider(10.0 ** rng.uniform(-1.5, 1.5, size=space.n))
+    if best_f is None:
+        consider(np.ones(space.n))
+    if "coordinate-ascent" in strategies:
+        f = best_f.copy()
+        scale = max(float(f.max()), 1.0)
+        for _ in range(40):
+            improved = False
+            for i in range(space.n):
+                base = f[i]
+                options = [base * 4.0, base * 2.0, base * 0.5, base * 0.25]
+                if base == 0.0:
+                    options = [scale * 0.25, scale]
+                for cand in options:
+                    f[i] = cand
+                    r = ratio(f)
+                    trials += 1
+                    if r is not None and r > best_val * (1.0 + 1e-6):
+                        best_val, best_f, base, improved = r, f.copy(), cand, True
+                    f[i] = base
+            if not improved:
+                break
+    return best_val, best_f, trials
+
+
+def test_stacked_search_equals_one_field_at_a_time():
+    rng = np.random.default_rng(61)
+    strategies = ("indicators", "random", "coordinate-ascent")
+    for trial in range(6):
+        sp = random_cloud(rng, int(rng.integers(3, 8)), dim=1 + trial % 2)
+        w = 10.0 ** rng.uniform(-1, 1, sp.n)
+        sigma = 10.0 ** rng.uniform(-1, 1, sp.n)
+        p = float(rng.choice([1.5, 2.0, 3.0]))
+        value, witness, trials = one_at_a_time_search(
+            sp, w, sigma, p, strategies, np.random.default_rng(7))
+        est = opnorm_lower_bound(sp, w, sigma, p, strategies, rng=np.random.default_rng(7))
+        assert est.trials == trials
+        assert np.array_equal(est.witness, witness)
+        assert est.value == pytest.approx(value, rel=1e-12)
+
+
+def test_suite_replay_catches_a_fault_in_the_stacked_search(monkeypatch):
+    ratio = verify._ratio
+
+    def off_on_stacks(space, w, sigma, p, f):
+        r = ratio(space, w, sigma, p, f)
+        return r * (1.0 + 1e-8) if np.ndim(f) > 1 else r
+
+    manifest = {"seed": 1, "instances": [{
+        "name": "atom", "space": {"type": "grid", "shape": [4]}, "w": ATOM4.tolist(),
+        "sigma": ONES4.tolist(), "p": 2.0, "phis": ["power:2"]}]}
+    report, _ = suite.run_suite(manifest)
+    assert report["instances"][0]["opnorm"]["witness_replay_ok"]
+    assert report["violations"] == []
+    for module in (verify, suite):
+        monkeypatch.setattr(module, "_ratio", off_on_stacks)
+    report, _ = suite.run_suite(manifest)
+    assert report["instances"][0]["opnorm"]["witness_replay_ok"] is False
+    assert {"instance": "atom", "check": "witness_replay"} in report["violations"]
 
 
 def test_opnorm_extra_strategies_only_improve(line4):

@@ -233,13 +233,11 @@ def test_conjugate_path_matches_power_identities():
             )
 
 
-def test_point_max_rows_match_single_rows(monkeypatch):
+def test_point_max_rows_match_single_rows():
     rng = np.random.default_rng(43)
     sp = random_cloud(rng, 7, dim=2)
     tbl = ball_table(sp)
     per_ball = rng.uniform(size=(10, tbl.m))
-    # a 3-row budget splits the 10 rows into four chunks, the last one short
-    monkeypatch.setattr("shtlab.space.WORKSPACE_ELEMENTS", 3 * tbl.m * sp.n)
     got = tbl.point_max(per_ball)
     assert got.shape == (10, sp.n) and got.flags.c_contiguous
     assert np.array_equal(got, np.array([tbl.point_max(row) for row in per_ball]))

@@ -33,6 +33,7 @@ headroom sits in the check it serves (see the README).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -86,23 +87,32 @@ def _log_kernel(v, c, alpha, beta, a):
     return value, slope
 
 
-def _newton_log(y, c, alpha, beta, a, what):
-    """Solve u**c * L**(a-1) * (alpha*L + beta*r) = y for u > 0 (1-d y > 0).
+@functools.lru_cache(maxsize=256)
+def _domain_ends(c, alpha, beta, a, v_max):
+    """The kernel's values at v = -v_max and v = v_max."""
+    return tuple(_log_kernel(np.array([-v_max, v_max]), c, alpha, beta, a)[0])
 
-    Newton in v = log u on ``_log_kernel``, from the root at a = 0 and
-    safeguarded as in Numerical Recipes ``rtsafe``: the kernel increases in v,
-    so its values at v = +-LOG_U_MAX show at once that every root lies in that
-    domain, each element's starting bracket.  Every evaluation shrinks it, and
-    a Newton step that leaves it becomes a bisection step.  An element is
-    frozen once its Newton step is at most LOG_STEP; convergence is quadratic,
-    so that last step leaves an error far below one ulp.  No element depends
-    on another, so a batch gives the bits of one call per element.
+
+def _newton_log(y, c, alpha, beta, a, what, start=None):
+    """Solve u**c * L**(a-1) * (alpha*L + beta*r) = y for v = log u (1-d y > 0).
+
+    Newton in v on ``_log_kernel`` from ``start`` (log u, clipped to the domain;
+    NaN or None starts at the root for a = 0), safeguarded as in Numerical
+    Recipes ``rtsafe``: the kernel increases in v, so its values at v =
+    +-LOG_U_MAX show at once that every root lies in that domain, each
+    element's starting bracket.  Every evaluation shrinks it, and a Newton step
+    that leaves it becomes a bisection step.  An element is frozen once its
+    Newton step is at most LOG_STEP; convergence is quadratic, so that last
+    step leaves an error far below one ulp.  No element depends on another, so
+    a batch gives the bits of one call per element from the same starts.
     """
     ly = np.log(y)
-    f_min, f_max = _log_kernel(np.array([-LOG_U_MAX, LOG_U_MAX]), c, alpha, beta, a)[0]
+    f_min, f_max = _domain_ends(c, alpha, beta, a, LOG_U_MAX)
     if ly.min() < f_min or ly.max() > f_max:
         raise NumericalError(f"{what}: root u lies beyond exp(+-{LOG_U_MAX:g})")
     v = np.clip((ly - math.log(alpha or beta)) / (c or 1.0), -LOG_U_MAX, LOG_U_MAX)
+    if start is not None:
+        np.copyto(v, np.clip(start, -LOG_U_MAX, LOG_U_MAX), where=~np.isnan(start))
     lo, hi = np.full(v.size, -LOG_U_MAX), np.full(v.size, LOG_U_MAX)
     idx = np.arange(v.size)
     root = np.empty(v.size)
@@ -110,16 +120,17 @@ def _newton_log(y, c, alpha, beta, a, what):
         f, df = _log_kernel(v, c, alpha, beta, a)
         with np.errstate(all="ignore"):  # a step that is not finite becomes a bisection step
             step = (f - ly) / df
-        lo = np.where(f < ly, v, lo)
-        hi = np.where(f > ly, v, hi)
-        nxt = v - step
+        np.copyto(lo, v, where=f < ly)
+        np.copyto(hi, v, where=f > ly)
+        v -= step
         done = np.abs(step) <= LOG_STEP
-        root[idx[done]] = nxt[done]  # frozen even where a sub-ulp step ends on lo or hi
-        keep = ~done
-        if not keep.any():
-            return np.exp(root)
-        nxt = np.where((nxt > lo) & (nxt < hi), nxt, 0.5 * (lo + hi))
-        idx, v, lo, hi, ly = idx[keep], nxt[keep], lo[keep], hi[keep], ly[keep]
+        if done.any():  # frozen even where a sub-ulp step ends on lo or hi
+            root[idx[done]] = v[done]
+            keep = ~done
+            if not keep.any():
+                return root
+            idx, v, lo, hi, ly = idx[keep], v[keep], lo[keep], hi[keep], ly[keep]
+        np.copyto(v, 0.5 * (lo + hi), where=~((v > lo) & (v < hi)))
     raise NumericalError(f"{what}: Newton solve did not converge in {MAX_ITER} steps")
 
 
@@ -149,6 +160,10 @@ class YoungFunction:
 
     def derivative(self, t):  # pragma: no cover - abstract
         raise NotImplementedError
+
+    def warm(self, t, state=None):
+        """(Phi(t), a state that starts a next call at nearby t); this one keeps none."""
+        return self(t), None
 
     def __repr__(self):
         return self.label
@@ -209,9 +224,8 @@ class PowerLog(YoungFunction):
         return lead + self.a * t**self.s * ln ** (self.a - 1.0) / (math.e + t)
 
     def inverse(self, y):
-        return _positive_part(
-            lambda yp: _newton_log(yp, self.s, 1.0, 0.0, self.a, f"{self.label} inverse"), y
-        )
+        what = f"{self.label} inverse"
+        return _positive_part(lambda yp: np.exp(_newton_log(yp, self.s, 1.0, 0.0, self.a, what)), y)
 
     def conjugate(self) -> "NumericConjugate":
         return NumericConjugate(self)
@@ -248,28 +262,31 @@ class NumericConjugate(YoungFunction):
         """base'(0): 1 at s = 1, else 0.  Up to it u* = 0, so Phibar = Phibar' = 0."""
         return 1.0 if self.base.s == 1 else 0.0
 
-    def _argmax(self, t):
-        """Solve base'(u) = t elementwise (t > base'(0) assumed)."""
-        s, a = self.base.s, self.base.a
-        return _newton_log(t, s - 1.0, s, a, a, f"{self.label} argmax")
-
-    def _value(self, t):
-        u = self._argmax(t)
-        return np.maximum(u * t - self.base(u), 0.0)
+    def warm(self, t, state=None):
+        """(Phibar(t), log u*), u* the argmax, NaN where u* = 0; each argmax
+        solve starts at its entry of ``state``, a log u* of the same shape."""
+        t = np.asarray(t, dtype=float)
+        out, v = np.zeros(t.shape), np.full(t.shape, np.nan)
+        pos = t > self._kink
+        if pos.any():
+            s, a = self.base.s, self.base.a  # the argmax solves base'(u) = t
+            v[pos] = _newton_log(t[pos], s - 1.0, s, a, a, f"{self.label} argmax",
+                                 None if state is None else state[pos])
+            u = np.exp(v[pos])
+            out[pos] = np.maximum(u * t[pos] - self.base(u), 0.0)
+        return out, v
 
     def __call__(self, t):
-        return _positive_part(self._value, t, self._kink)
+        return _positive_part(lambda tp: self.warm(tp)[0], t, self._kink)
 
     def derivative(self, t):
         # envelope: d/dt sup_u (u t - Phi(u)) = argmax u
-        return _positive_part(self._argmax, t, self._kink)
-
-    def _inverse(self, y):
-        s, a = self.base.s, self.base.a
-        return self.base.derivative(_newton_log(y, s, s - 1.0, a, a, f"{self.label} inverse"))
+        return _positive_part(lambda tp: np.exp(self.warm(tp)[1]), t, self._kink)
 
     def inverse(self, y):
-        return _positive_part(self._inverse, y)
+        s, a = self.base.s, self.base.a  # base'(u) at the root of u*base'(u) - base(u) = y
+        return _positive_part(lambda yp: self.base.derivative(
+            np.exp(_newton_log(yp, s, s - 1.0, a, a, f"{self.label} inverse"))), y)
 
     def conjugate(self) -> YoungFunction:
         return self.base
@@ -286,7 +303,8 @@ def _norms_core(member, weighted, mu, mass, fmat, phi):
     chunk is solved once and its root scattered back; duplicate pairs would
     run identical trajectories, so this keeps the bits.  A root is not the
     bits of a solve of its pair alone: ``_illinois`` steps the whole batch
-    until its widest bracket is within REL_TOL.
+    until its widest bracket is within REL_TOL, and ``phi.warm`` carries
+    phi's state (the conjugate's log argmax) from each step to the next.
     """
     k = fmat.shape[0]
     m = member.shape[0]
@@ -321,11 +339,13 @@ def _norms_core(member, weighted, mu, mass, fmat, phi):
         mua = mu[ub]             # (nu,)
         maxf = mx[uk, ub]
         xlo, xhi = np.log(maxf / inv_big), np.log(maxf / inv_one)
+        state = None  # phi's warm state, carried from each evaluation to the next
 
         def log_gap(x):
+            nonlocal state
             lam = np.exp(x)
-            s = (phi(fa / lam[:, None]) * wa).sum(axis=1) / mua
-            return np.log(s)
+            values, state = phi.warm(fa / lam[:, None], state)
+            return np.log((values * wa).sum(axis=1) / mua)
 
         root = np.exp(_illinois(log_gap, xlo, xhi, f"Luxemburg norm under {phi!r}"))
         buf = np.zeros((rows.stop - rows.start, m))
@@ -337,33 +357,31 @@ def _norms_core(member, weighted, mu, mass, fmat, phi):
 def _illinois(func, xlo, xhi, what):
     """Illinois-damped false position for a decreasing function.
 
-    func(xlo) >= 0 >= func(xhi) elementwise; returns x with |bracket| <=
-    REL_TOL, or raises NumericalError naming ``what``.  Converges
-    superlinearly on the near-affine log-log constraint while keeping the
-    bisection bracket guarantee.
+    func(xlo) >= 0 >= func(xhi) elementwise; xlo and xhi are updated in place.
+    Returns x with |bracket| <= REL_TOL, or raises NumericalError naming
+    ``what``.  Converges superlinearly on the near-affine log-log constraint
+    while keeping the bisection bracket guarantee.
     """
-    fa = func(xlo)
-    fb = func(xhi)
-    side = np.zeros(xlo.shape, dtype=int)
+    fa, fb = func(xlo), func(xhi)
+    above = below = np.zeros(xlo.shape, dtype=bool)  # the last step's side; none before the first
     for _ in range(MAX_ITER):
         width = xhi - xlo
-        if np.max(width) <= REL_TOL:
+        if width.max() <= REL_TOL:
             break
-        denom = fb - fa
-        mid = 0.5 * (xlo + xhi)
         with np.errstate(divide="ignore", invalid="ignore"):
-            xt = (xlo * fb - xhi * fa) / denom
+            xt = (xlo * fb - xhi * fa) / (fb - fa)
         margin = 0.01 * width
-        good = np.isfinite(xt) & (xt > xlo + margin) & (xt < xhi - margin)
-        xt = np.where(good, xt, mid)
+        # a point that is NaN, infinite or within the margin of an end is the midpoint
+        np.copyto(xt, 0.5 * (xlo + xhi), where=~((xt > xlo + margin) & (xt < xhi - margin)))
         ft = func(xt)
-        above = ft > 0
-        xlo = np.where(above, xt, xlo)
-        xhi = np.where(above, xhi, xt)
-        fa_new = np.where(above, ft, np.where(side == 1, 0.5 * fa, fa))
-        fb_new = np.where(above, np.where(side == -1, 0.5 * fb, fb), ft)
-        side = np.where(above, -1, 1)
-        fa, fb = fa_new, fb_new
+        new = ft > 0.0  # an end kept at this step and the last has its value halved
+        np.copyto(fa, 0.5 * fa, where=below > new)  # below then, and below now
+        np.copyto(fb, 0.5 * fb, where=above & new)
+        above, below = new, ~new
+        np.copyto(xlo, xt, where=above)
+        np.copyto(fa, ft, where=above)
+        np.copyto(xhi, xt, where=below)
+        np.copyto(fb, ft, where=below)
     if np.max(xhi - xlo) > REL_TOL:
         raise NumericalError(f"{what}: bracket wider than {REL_TOL:g} after {MAX_ITER} steps")
     return 0.5 * (xlo + xhi)

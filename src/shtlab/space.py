@@ -167,6 +167,7 @@ class QuasiMetricSpace:
         self.mass = mass
         self._table = None  # lazy BallTable cache
         self._profile = None  # lazy SpaceProfile cache
+        self._memo = {}  # weight constants by name and inputs (weights._finite)
 
     @property
     def n(self) -> int:
@@ -368,19 +369,24 @@ class BallTable:
         The ball axis is last.  The balls of one center are nested, so those
         that contain y are its depth[c, y] largest: a running maximum from
         each center's largest ball down, read at depth, then the max over
-        centers.  The result is C-contiguous.
+        centers.  The fields go in chunks within the workspace budget.  The
+        result is C-contiguous.
         """
-        per_ball = np.asarray(per_ball, dtype=float)
+        rows = np.asarray(per_ball, dtype=float).reshape(-1, self.m)
         n = self.depth.shape[0]
         count = np.diff(self.starts)
         # [j, c]: the row of the j-th largest ball of c; a center with fewer
         # balls repeats its smallest, which leaves its running maximum as it is
         down = np.minimum(np.arange(count.max())[:, None], count - 1)
-        run = np.take(np.moveaxis(per_ball, -1, 0), self.starts[1:] - 1 - down, axis=0)
-        np.maximum.accumulate(run, axis=0, out=run)
-        # [y, c]: run[depth[c, y] - 1, c]
-        read = run.reshape((-1,) + run.shape[2:])[(self.depth.T - 1) * n + np.arange(n)]
-        return np.ascontiguousarray(np.moveaxis(read.max(axis=1), 0, -1))
+        take = self.starts[1:] - 1 - down
+        at = (self.depth.T - 1) * n + np.arange(n)  # [y, c]: run[depth[c, y] - 1, c]
+        out = np.empty((rows.shape[0], n))
+        chunk = rows_per_chunk((count.max() + n) * n)
+        for start in range(0, rows.shape[0], chunk):
+            run = rows[start:start + chunk].T[take]
+            np.maximum.accumulate(run, axis=0, out=run)
+            out[start:start + chunk] = run.reshape(-1, run.shape[2])[at].max(axis=1).T
+        return out.reshape(np.shape(per_ball)[:-1] + (n,))
 
 
 def ball_table(space: QuasiMetricSpace) -> BallTable:

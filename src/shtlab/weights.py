@@ -12,6 +12,7 @@ the canonical family.  Conventions:
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 
 import numpy as np
@@ -47,23 +48,37 @@ def as_weight(space: QuasiMetricSpace, values) -> np.ndarray:
 
 
 def _finite(constant):
-    """Wrap a weight constant: its value, or an InputError naming it when
-    the value is inf or NaN."""
+    """Wrap a weight constant: its value, or an InputError naming it when the value
+    is inf or NaN.  A finite value is kept on the space, keyed on the name and the
+    validated inputs, so each constant is computed once per space and inputs."""
+    signature = inspect.signature(constant)
 
     @functools.wraps(constant)
     def checked(*args, **kwargs):
-        value = constant(*args, **kwargs)
-        if not math.isfinite(value):
-            raise InputError(f"{constant.__name__} is {value}, not a finite number")
-        return value
+        inputs = signature.bind(*args, **kwargs).arguments
+        space = inputs["space"]
+        # the weights are validated here, for the key and for the body
+        inputs.update({k: as_weight(space, inputs[k]) for k in ("w", "sigma") if k in inputs})
+        key = _memo_key(constant.__name__, inputs)
+        if key not in space._memo:
+            value = constant(**inputs)
+            if not math.isfinite(value):
+                raise InputError(f"{constant.__name__} is {value}, not a finite number")
+            space._memo[key] = value
+        return space._memo[key]
 
     return checked
+
+
+def _memo_key(name, inputs):
+    """The name and every input but the space, an array by its bits."""
+    return (name,) + tuple(value.tobytes() if isinstance(value, np.ndarray) else value
+                           for key, value in inputs.items() if key != "space")
 
 
 @_finite
 def ap_constant(space: QuasiMetricSpace, w, p: float) -> float:
     """sup_B (avg_B w) * (avg_B w**(-1/(p-1)))**(p-1)."""
-    w = as_weight(space, w)
     if np.any(w == 0):
         raise InputError("Ap requires strictly positive weight")
     p_conjugate(p)
@@ -76,8 +91,6 @@ def ap_constant(space: QuasiMetricSpace, w, p: float) -> float:
 @_finite
 def two_weight_ap(space: QuasiMetricSpace, w, sigma, p: float) -> float:
     """sup_B (avg_B w) * (avg_B sigma)**(p-1)."""
-    w = as_weight(space, w)
-    sigma = as_weight(space, sigma)
     p_conjugate(p)
     tbl = ball_table(space)
     return float(np.max(tbl.averages(w) * tbl.averages(sigma) ** (p - 1.0)))
@@ -86,7 +99,6 @@ def two_weight_ap(space: QuasiMetricSpace, w, sigma, p: float) -> float:
 @_finite
 def ainfty_fujii_wilson(space: QuasiMetricSpace, w) -> float:
     """Fujii-Wilson constant: sup_B (1/w(B)) * sum_B M(w*chi_B) dmu."""
-    w = as_weight(space, w)
     tbl = ball_table(space)
     wb = tbl.weighted @ w
     live = wb > 0
@@ -98,7 +110,6 @@ def ainfty_fujii_wilson(space: QuasiMetricSpace, w) -> float:
 @_finite
 def ainfty_exp(space: QuasiMetricSpace, w) -> float:
     """Exponential A_infty constant: sup_B (avg_B w) * exp(avg_B log(1/w))."""
-    w = as_weight(space, w)
     if np.any(w == 0):
         raise InputError("exponential A_infty requires strictly positive weight")
     tbl = ball_table(space)
@@ -114,8 +125,6 @@ def bump_ap(
     phi: YoungFunction,
 ) -> float:
     """Orlicz-bump constant: sup_B (avg_B w) * ||sigma**(1/p')||_{Phi,B}**p."""
-    w = as_weight(space, w)
-    sigma = as_weight(space, sigma)
     pc = p_conjugate(p)
     tbl = ball_table(space)
     norms = luxemburg_norms_over_balls(space, sigma ** (1.0 / pc), phi)[0]
@@ -130,7 +139,6 @@ def wp_constant(space: QuasiMetricSpace, sigma, p: float, phi: YoungFunction) ->
         (1/sigma(B)) * sum_B M_Phi(sigma**(1/p) * chi_B)**p dmu,
     where the Orlicz maximal function ranges over all canonical balls.
     """
-    sigma = as_weight(space, sigma)
     p_conjugate(p)
     tbl = ball_table(space)
     sb = tbl.weighted @ sigma
@@ -148,8 +156,6 @@ def sawyer_constant(space: QuasiMetricSpace, w, sigma, p: float) -> float:
     sup over balls B with sigma(B) > 0 of
         ((1/sigma(B)) * sum_B M(sigma*chi_B)**p * w dmu)**(1/p).
     """
-    w = as_weight(space, w)
-    sigma = as_weight(space, sigma)
     p_conjugate(p)
     tbl = ball_table(space)
     sb = tbl.weighted @ sigma

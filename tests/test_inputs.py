@@ -62,6 +62,20 @@ def test_vector_inputs_rejected_with_cause(line4, entry, bad):
         ENTRY_POINTS[entry](line4, values)
 
 
+WEIGHT_CONSTANTS = ["ap_constant", "two_weight_ap_w", "two_weight_ap_sigma", "ainfty_fujii_wilson",
+                    "ainfty_exp", "bump_ap", "wp_constant", "sawyer_constant", "constants_report"]
+
+
+@pytest.mark.parametrize("bad", BAD_VECTORS)
+@pytest.mark.parametrize("entry", WEIGHT_CONSTANTS)
+def test_a_memoised_constant_still_refuses_bad_vectors(line4, entry, bad):
+    # the memo keys on validated inputs, so a value kept on the space changes no error
+    ENTRY_POINTS[entry](line4, ONES)
+    values, message = BAD_VECTORS[bad]
+    with pytest.raises(InputError, match=message):
+        ENTRY_POINTS[entry](line4, values)
+
+
 def test_norm_matrix_rows_are_named(line4):
     fmat = [ONES, [1.0, math.nan, 1.0, 1.0]]
     with pytest.raises(InputError, match="row 1 of fmat contains NaN at index 1"):

@@ -79,6 +79,16 @@ def prefix_point_max(monkeypatch):
     monkeypatch.setattr(BallTable, "point_max", point_max)
 
 
+def memo_key_without(name):
+    """The fault that leaves input ``name`` out of the weight constants' memo key."""
+    def fault(monkeypatch):
+        key = mutated(weights._memo_key, 'if key != "space"', f'if key not in ("space", "{name}")')
+        monkeypatch.setattr(weights, "_memo_key", key)
+
+    fault.__name__ = f"memo_key_without_{name}"
+    return fault
+
+
 def reversed_vitali_order(monkeypatch):
     select = czdecomp._select_level
     rebind(monkeypatch, select,
@@ -141,6 +151,12 @@ ROWS = [
         "a running maximum from each center's largest ball down, read at depth, then the "
         "max over centers.",
         prefix_point_max, space_tests.test_point_max_equals_the_masked_form, (1, 2)),
+    Row(weights._finite,
+        "A finite value is kept on the space, keyed on the name and the validated inputs",
+        memo_key_without("phi"), weights_tests.test_memo_keeps_one_value_per_input),
+    Row(weights._finite,
+        "A finite value is kept on the space, keyed on the name and the validated inputs",
+        memo_key_without("p"), weights_tests.test_memo_keeps_one_value_per_input),
     Row(czdecomp,
         "keep a Vitali subfamily: sort by radius descending, center ascending, keep a "
         "ball iff disjoint from all kept so far.",

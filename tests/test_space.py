@@ -321,6 +321,23 @@ def test_point_max_equals_the_masked_form(one_point, two_point):
         assert np.array_equal(tbl.point_max(stack[3]), masked_point_max(tbl, stack[3]))
 
 
+def test_point_max_in_chunks_equals_the_masked_form(monkeypatch, two_point):
+    # budgets of 1, 3 and 4 rows put chunk boundaries all through a 10-row stack
+    rng = np.random.default_rng(67)
+    spaces = [two_point, build_space({"type": "grid", "shape": [7]}), tied_cloud(rng, 9),
+              build_space({"type": "grid", "shape": [3, 3], "metric": "l2"})]
+    for sp in spaces:
+        tbl = ball_table(sp)
+        per_row = (np.diff(tbl.starts).max() + sp.n) * sp.n  # running maxima and read
+        stack = 10.0 ** rng.uniform(-1, 1, size=(10, tbl.m))
+        want = masked_point_max(tbl, stack)
+        for rows in (1, 3, 4):
+            monkeypatch.setattr("shtlab.space.WORKSPACE_ELEMENTS", rows * per_row)
+            assert np.array_equal(tbl.point_max(stack), want)
+            assert np.array_equal(tbl.point_max(stack.reshape(2, 5, tbl.m)), want.reshape(2, 5, sp.n))
+            assert np.array_equal(tbl.point_max(stack[3]), want[3])
+
+
 # ---------------------------------------------------------------- checks
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_cloud
-from shtlab import suite, verify
+from shtlab import maximal, orlicz, suite, verify, weights
 from shtlab.errors import InputError
 from shtlab.orlicz import Power, PowerLog, alpha_p
 from shtlab.space import ball_table, space_profile
@@ -299,3 +299,27 @@ def test_chain_constant_matches_formula(line4):
     rep = verify_main_chain(line4, ONES4, ONES4, 2.0, Power(2))
     expect = 4.0 * prof.level_base**2 * (2.0 * prof.theta) ** (3.0 * prof.d_mu)
     assert rep["bound"] == pytest.approx(expect, rel=1e-9)
+
+
+def test_one_instance_reuses_its_weight_constants(monkeypatch):
+    # at p = 2 the reductions' bump(Power(p')) and wp(Power(p)) are chain 1's,
+    # so 6 of the 8 Luxemburg sweeps remain; a memo that never hits, as if
+    # cleared between calls, runs all 8 and gives the same report
+    manifest = {"seed": 1, "instances": [{
+        "name": "atom", "space": {"type": "grid", "shape": [4]},
+        "w": [1.0, 1.0, 1.0, 9.0], "sigma": [1.0, 1.0, 1.0, 1.0], "p": 2.0}]}
+    sweep, calls = orlicz.luxemburg_norms_over_balls, []
+
+    def counted(*args):
+        calls.append(args[2].label)
+        return sweep(*args)
+
+    for module in (weights, maximal):
+        monkeypatch.setattr(module, "luxemburg_norms_over_balls", counted)
+    report, _ = suite.run_suite(manifest)
+    assert calls == ["power:2", "power:2", "power:4", "power:1.33333",
+                     "powerlog:2:1", "conjugate(powerlog:2:1)"]
+    calls.clear()
+    monkeypatch.setattr(weights, "_memo_key", lambda name, inputs: object())
+    assert suite.run_suite(manifest)[0] == report
+    assert len(calls) == 8

@@ -1,3 +1,4 @@
+import itertools
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from conftest import random_cloud, table_balls
 from shtlab.errors import InputError
 from shtlab.maximal import orlicz_maximal, restricted_maximal
 from shtlab.orlicz import Power, PowerLog
-from shtlab.space import ball_mask, ball_table, dilate_ball
+from shtlab.space import QuasiMetricSpace, ball_mask, ball_table, dilate_ball
 from shtlab.weights import (
     ainfty_exp,
     ainfty_fujii_wilson,
@@ -314,6 +315,33 @@ def test_powerlog_bump_is_finite_and_reduction_consistent(line4):
     assert np.isfinite(v) and v > 0
     wp = wp_constant(line4, sigma, 2.0, phi.conjugate())
     assert np.isfinite(wp) and wp > 0
+
+
+# every weight constant as a function of one context (space, w, sigma, p, phi)
+MEMOISED = {
+    "ap_constant": lambda sp, w, sigma, p, phi: ap_constant(sp, w, p),
+    "two_weight_ap": lambda sp, w, sigma, p, phi: two_weight_ap(sp, w, sigma, p),
+    "ainfty_fujii_wilson": lambda sp, w, sigma, p, phi: ainfty_fujii_wilson(sp, w),
+    "ainfty_exp": lambda sp, w, sigma, p, phi: ainfty_exp(sp, w),
+    "bump_ap": lambda sp, w, sigma, p, phi: bump_ap(sp, w, sigma, p, phi),
+    "wp_constant": lambda sp, w, sigma, p, phi: wp_constant(sp, sigma, p, phi),
+    "sawyer_constant": lambda sp, w, sigma, p, phi: sawyer_constant(sp, w, sigma, p),
+}
+
+
+def test_memo_keeps_one_value_per_input():
+    # one space sees every constant at every combination of two weights, two
+    # exponents and two Young functions, and each value is the bits a fresh
+    # space computes: the memo key holds every input
+    rng = np.random.default_rng(61)
+    sp = random_cloud(rng, 5, dim=2)
+    vectors = [10.0 ** rng.uniform(-1, 1, sp.n) for _ in range(2)]
+    contexts = itertools.product(vectors, vectors, (1.5, 3.0), (Power(2.0), PowerLog(2.0, 1.0)))
+    for w, sigma, p, phi in contexts:
+        for name, compute in MEMOISED.items():
+            fresh = QuasiMetricSpace(sp.dist, sp.mass)
+            assert compute(sp, w, sigma, p, phi) == compute(fresh, w, sigma, p, phi), name
+            assert compute(sp, list(w), sigma, p, phi) == compute(fresh, w, sigma, p, phi), name
 
 
 BIG4 = np.full(4, 1e300)

@@ -12,8 +12,7 @@ Implemented families:
   is ``base`` again (biconjugation of a convex function).
 
 Every power-log inversion -- Phi^{-1}, the Legendre argmax and Phibar^{-1} --
-is one safeguarded Newton solve in log u on one closed-form kernel
-(``_newton_log``); it stops per element once its step is at most LOG_STEP.
+is a Newton solve in log u on one closed-form kernel (``_newton_log``).
 
 Any conjugate pair built here satisfies the band t <= Phi^{-1}(t) *
 Phibar^{-1}(t) <= 2t; the Power convention pair sits at the lower edge.
@@ -23,10 +22,14 @@ The local Luxemburg norm over a ball B is
     ||f||_{Phi,B} = inf{ lam > 0 : (1/mu(B)) sum_{y in B} Phi(f[y]/lam) m[y] <= 1 }.
 
 The constraint is continuous and strictly decreasing in lam wherever positive,
-so the infimum is the unique root, found by Illinois-damped false position in
-log(lam) from a rigorous bracket: with M = max_B f,
+so the infimum is the unique root.  With M = max_B f and mass_min the space's
+smallest mass, it is bracketed by
 
-    M / Phi^{-1}(mu_max/mass_min)  <=  ||f||_{Phi,B}  <=  M / Phi^{-1}(1).
+    M / Phi^{-1}(mu(B)/mass_min)  <=  ||f||_{Phi,B}  <=  M / Phi^{-1}(1).
+
+Power-log roots are Newton solves in log(lam), each from its own bracket, in
+the module's one safeguarded Newton loop (``_newton``); ``Power`` roots come
+from Illinois-damped false position over a whole batch (``_illinois``).
 
 Root-finding tolerances are the module constants below; each checker's
 headroom sits in the check it serves (see the README).
@@ -69,8 +72,8 @@ def p_conjugate(p: float) -> float:
     return p / (p - 1.0)
 
 
-def _log_kernel(v, c, alpha, beta, a):
-    """log(u**c * L**(a-1) * (alpha*L + beta*r)) and its slope in v = log u.
+def _log_kernel(v, c, alpha, beta, a, ly=0.0):
+    """log(u**c * L**(a-1) * (alpha*L + beta*r)) - ly and its slope in v = log u.
 
     L = log(e + u) and r = u/(e + u), so that dL/dv = r and dr/dv = r*(1 - r).  (c, alpha, beta) = (s, 1, 0) gives PowerLog(s, a),
     (s-1, s, a) its derivative and (s, s-1, a) u*Phi'(u) - Phi(u).  L - 1
@@ -82,7 +85,7 @@ def _log_kernel(v, c, alpha, beta, a):
     r = u / (math.e + u)
     g = alpha * (1.0 + m) + beta * r
     log_g = np.log1p(m + beta * r) if alpha == 1 else np.log(g)
-    value = c * v + (a - 1.0) * np.log1p(m) + log_g
+    value = c * v + (a - 1.0) * np.log1p(m) + log_g - ly
     slope = c + (a - 1.0) * r / (1.0 + m) + r * (alpha + beta * (1.0 - r)) / g
     return value, slope
 
@@ -93,18 +96,53 @@ def _domain_ends(c, alpha, beta, a, v_max):
     return tuple(_log_kernel(np.array([-v_max, v_max]), c, alpha, beta, a)[0])
 
 
+def _newton(func, x, lo, hi, what, *data):
+    """Safeguarded Newton, as Numerical Recipes ``rtsafe``, for the roots of g
+    increasing in x from starts x in brackets [lo, hi], 1-d arrays it overwrites.
+
+    ``func(x, *data)`` gives g and g' of the active elements; ``data`` are
+    per-element arrays compacted with them, which ``func`` may update in place.
+    Every evaluation shrinks its element's bracket [lo, hi].  A Newton point
+    outside the bracket moves to the end it crossed if that end was never
+    evaluated, and to the bracket's midpoint otherwise.  An element is frozen
+    once its Newton step is at most LOG_STEP; convergence is quadratic, so that
+    last step leaves an error far below one ulp.  Elements never interact, so a
+    batch gives the bits of one call per element from the same starts.
+    """
+    idx = np.arange(x.size)
+    root = np.empty(x.size)
+    seen_lo, seen_hi = np.zeros((2, x.size), dtype=bool)
+    for _ in range(MAX_ITER):
+        g, dg = func(x, *data)
+        with np.errstate(all="ignore"):  # a step that is not finite leaves the bracket
+            step = g / dg
+        below, above = g < 0, g > 0
+        np.copyto(lo, x, where=below)
+        np.copyto(hi, x, where=above)
+        seen_lo |= below
+        seen_hi |= above
+        x -= step
+        done = np.abs(step) <= LOG_STEP
+        if done.any():  # frozen even where a sub-ulp step ends on lo or hi
+            root[idx[done]] = x[done]
+            if done.all():
+                return root
+            idx, x, lo, hi, seen_lo, seen_hi, *data = (
+                arr[~done] for arr in (idx, x, lo, hi, seen_lo, seen_hi, *data))
+        out = ~((x > lo) & (x < hi))
+        if out.any():
+            end = np.where(~seen_hi & (x >= hi), hi, np.where(~seen_lo & (x <= lo), lo, 0.5 * (lo + hi)))
+            np.copyto(x, end, where=out)
+    raise NumericalError(f"{what}: Newton solve did not converge in {MAX_ITER} steps")
+
+
 def _newton_log(y, c, alpha, beta, a, what, start=None):
     """Solve u**c * L**(a-1) * (alpha*L + beta*r) = y for v = log u (1-d y > 0).
 
-    Newton in v on ``_log_kernel`` from ``start`` (log u, clipped to the domain;
-    NaN or None starts at the root for a = 0), safeguarded as in Numerical
-    Recipes ``rtsafe``: the kernel increases in v, so its values at v =
-    +-LOG_U_MAX show at once that every root lies in that domain, each
-    element's starting bracket.  Every evaluation shrinks it, and a Newton step
-    that leaves it becomes a bisection step.  An element is frozen once its
-    Newton step is at most LOG_STEP; convergence is quadratic, so that last
-    step leaves an error far below one ulp.  No element depends on another, so
-    a batch gives the bits of one call per element from the same starts.
+    ``_newton`` on ``_log_kernel`` from ``start`` (log u, clipped to the
+    domain; NaN or None starts at the root for a = 0).  The kernel increases
+    in v, so its values at v = +-LOG_U_MAX show at once that every root lies
+    in that domain, each element's starting bracket.
     """
     ly = np.log(y)
     f_min, f_max = _domain_ends(c, alpha, beta, a, LOG_U_MAX)
@@ -113,25 +151,8 @@ def _newton_log(y, c, alpha, beta, a, what, start=None):
     v = np.clip((ly - math.log(alpha or beta)) / (c or 1.0), -LOG_U_MAX, LOG_U_MAX)
     if start is not None:
         np.copyto(v, np.clip(start, -LOG_U_MAX, LOG_U_MAX), where=~np.isnan(start))
-    lo, hi = np.full(v.size, -LOG_U_MAX), np.full(v.size, LOG_U_MAX)
-    idx = np.arange(v.size)
-    root = np.empty(v.size)
-    for _ in range(MAX_ITER):
-        f, df = _log_kernel(v, c, alpha, beta, a)
-        with np.errstate(all="ignore"):  # a step that is not finite becomes a bisection step
-            step = (f - ly) / df
-        np.copyto(lo, v, where=f < ly)
-        np.copyto(hi, v, where=f > ly)
-        v -= step
-        done = np.abs(step) <= LOG_STEP
-        if done.any():  # frozen even where a sub-ulp step ends on lo or hi
-            root[idx[done]] = v[done]
-            keep = ~done
-            if not keep.any():
-                return root
-            idx, v, lo, hi, ly = idx[keep], v[keep], lo[keep], hi[keep], ly[keep]
-        np.copyto(v, 0.5 * (lo + hi), where=~((v > lo) & (v < hi)))
-    raise NumericalError(f"{what}: Newton solve did not converge in {MAX_ITER} steps")
+    return _newton(lambda v, ly: _log_kernel(v, c, alpha, beta, a, ly),
+                   v, np.full(v.size, -LOG_U_MAX), np.full(v.size, LOG_U_MAX), what, ly)
 
 
 def _positive_part(func, t, floor=0.0):
@@ -162,8 +183,9 @@ class YoungFunction:
         raise NotImplementedError
 
     def warm(self, t, state=None):
-        """(Phi(t), a state that starts a next call at nearby t); this one keeps none."""
-        return self(t), None
+        """(Phi(t), Phi'(t)); a Phi that is itself a solve starts each entry at
+        ``state``, an array of t's shape, and overwrites it.  This one has none."""
+        return self(t), self.derivative(t)
 
     def __repr__(self):
         return self.label
@@ -263,25 +285,27 @@ class NumericConjugate(YoungFunction):
         return 1.0 if self.base.s == 1 else 0.0
 
     def warm(self, t, state=None):
-        """(Phibar(t), log u*), u* the argmax, NaN where u* = 0; each argmax
-        solve starts at its entry of ``state``, a log u* of the same shape."""
+        """(Phibar(t), Phibar'(t) = u*), u* the argmax; each argmax solve starts at
+        its entry of ``state`` (log u*, NaN for cold) and overwrites it."""
         t = np.asarray(t, dtype=float)
-        out, v = np.zeros(t.shape), np.full(t.shape, np.nan)
+        out, u = np.zeros(t.shape), np.zeros(t.shape)
         pos = t > self._kink
         if pos.any():
             s, a = self.base.s, self.base.a  # the argmax solves base'(u) = t
-            v[pos] = _newton_log(t[pos], s - 1.0, s, a, a, f"{self.label} argmax",
-                                 None if state is None else state[pos])
-            u = np.exp(v[pos])
-            out[pos] = np.maximum(u * t[pos] - self.base(u), 0.0)
-        return out, v
+            v = _newton_log(t[pos], s - 1.0, s, a, a, f"{self.label} argmax",
+                            None if state is None else state[pos])
+            if state is not None:
+                state[pos] = v
+            u[pos] = up = np.exp(v)
+            out[pos] = np.maximum(up * t[pos] - self.base(up), 0.0)
+        return out, u
 
     def __call__(self, t):
         return _positive_part(lambda tp: self.warm(tp)[0], t, self._kink)
 
     def derivative(self, t):
         # envelope: d/dt sup_u (u t - Phi(u)) = argmax u
-        return _positive_part(lambda tp: np.exp(self.warm(tp)[1]), t, self._kink)
+        return _positive_part(lambda tp: self.warm(tp)[1], t, self._kink)
 
     def inverse(self, y):
         s, a = self.base.s, self.base.a  # base'(u) at the root of u*base'(u) - base(u) = y
@@ -300,25 +324,35 @@ def _norms_core(member, weighted, mu, mass, fmat, phi):
 
     A root depends only on the restricted row f*chi_B and on mu(B): off B,
     ``weighted`` multiplies Phi(0) = 0.  So each distinct active pair of a
-    chunk is solved once and its root scattered back; duplicate pairs would
-    run identical trajectories, so this keeps the bits.  A root is not the
-    bits of a solve of its pair alone: ``_illinois`` steps the whole batch
-    until its widest bracket is within REL_TOL, and ``phi.warm`` carries
-    phi's state (the conjugate's log argmax) from each step to the next.
+    chunk is solved once and its root scattered back.  A ``Power`` root
+    depends on its batch: ``_illinois`` steps the batch, from the bracket of
+    the largest mu(B), until its widest bracket is within REL_TOL.  Any
+    other root is a ``_newton`` solve of g(x) = log(mu(B) / sum Phi(t) w) = 0,
+    t = f e^{-x}, g' = sum Phi'(t) t w / sum Phi(t) w, from the midpoint of its
+    own bracket, with Phi and Phi' from one ``phi.warm`` evaluation that
+    carries the conjugate's log argmax per entry to the next; it has the bits
+    of the single-ball ``luxemburg_norm`` of its pair.
     """
     k = fmat.shape[0]
-    m = member.shape[0]
-    out = np.zeros((k, m))
-    # the module docstring's bracket, M / inv_big <= norm <= M / inv_one; a
-    # Python float division overflows to inf without a warning
+    out = np.zeros((k, member.shape[0]))
+    # the module docstring's bracket; a Python float division overflows to inf without a warning
     ratio = float(mu.max()) / float(mass.min())
     if ratio == math.inf:
         raise InputError(
             f"mass ratio mu_max/mass_min = {mu.max():g}/{mass.min():g} overflows, "
             f"so no Luxemburg norm can be bracketed"
         )
-    inv_big = float(np.asarray(phi.inverse(ratio)))
+    what = f"Luxemburg norm under {phi!r}"
     inv_one = float(np.asarray(phi.inverse(1.0)))
+    # Power keeps _illinois while the benchmark pins its roots' residuals (ROADMAP item 1)
+    batch_inv = float(np.asarray(phi.inverse(ratio))) if isinstance(phi, Power) else None
+
+    def gap(x, f, w, mu_b, state):
+        t = f / np.exp(x)[:, None]
+        values, slopes = phi.warm(t, state)
+        total = (values * w).sum(axis=1)
+        return np.log(mu_b / total), (slopes * t * w).sum(axis=1) / total
+
     chunk = rows_per_chunk(member.size)  # bounds the (k, m, n) workspace
     for start in range(0, k, chunk):
         rows = slice(start, min(start + chunk, k))
@@ -338,19 +372,15 @@ def _norms_core(member, weighted, mu, mass, fmat, phi):
         wa = weighted[ub]        # (nu, n)
         mua = mu[ub]             # (nu,)
         maxf = mx[uk, ub]
-        xlo, xhi = np.log(maxf / inv_big), np.log(maxf / inv_one)
-        state = None  # phi's warm state, carried from each evaluation to the next
-
-        def log_gap(x):
-            nonlocal state
-            lam = np.exp(x)
-            values, state = phi.warm(fa / lam[:, None], state)
-            return np.log((values * wa).sum(axis=1) / mua)
-
-        root = np.exp(_illinois(log_gap, xlo, xhi, f"Luxemburg norm under {phi!r}"))
-        buf = np.zeros((rows.stop - rows.start, m))
-        buf[kk, bb] = root[back]
-        out[rows] = buf
+        xhi = np.log(maxf / inv_one)
+        if batch_inv is None:
+            xlo = np.log(maxf / phi.inverse(mua / mass.min()))
+            root = _newton(gap, 0.5 * (xlo + xhi), xlo, xhi, what,
+                           fa, wa, mua, np.full(fa.shape, np.nan))
+        else:
+            root = _illinois(lambda x: np.log((phi(fa / np.exp(x)[:, None]) * wa).sum(axis=1) / mua),
+                             np.log(maxf / batch_inv), xhi, what)
+        out[start + kk, bb] = np.exp(root)[back]
     return out
 
 

@@ -46,6 +46,11 @@ def coarse_log_step(monkeypatch):
     monkeypatch.setattr(orlicz, "LOG_STEP", 1e-4)
 
 
+def midpoint_past_unseen_end(monkeypatch):
+    rule = "np.where(~seen_hi & (x >= hi), hi, np.where(~seen_lo & (x <= lo), lo, 0.5 * (lo + hi)))"
+    monkeypatch.setattr(orlicz, "_newton", mutated(orlicz._newton, rule, "0.5 * (lo + hi)"))
+
+
 def scaled(constant):
     """The fault that scales every value of ``constant`` by 1 + 1e-9."""
     def fault(monkeypatch):
@@ -118,10 +123,14 @@ class Row:
 
 
 ROWS = [
-    Row(orlicz._newton_log,
+    Row(orlicz._newton,
         "An element is frozen once its Newton step is at most LOG_STEP; convergence "
         "is quadratic, so that last step leaves an error far below one ulp.",
         coarse_log_step, orlicz_tests.test_power_log_inversions_round_trip),
+    Row(orlicz._newton,
+        "A Newton point outside the bracket moves to the end it crossed if that end was "
+        "never evaluated, and to the bracket's midpoint otherwise.",
+        midpoint_past_unseen_end, orlicz_tests.test_newton_luxemburg_solves_take_few_evaluations),
     Row(weights.ap_constant, "sup_B (avg_B w) * (avg_B w**(-1/(p-1)))**(p-1).",
         scaled(weights.ap_constant), weights_tests.test_ap_ones, (4,)),
     Row(weights.two_weight_ap, "sup_B (avg_B w) * (avg_B sigma)**(p-1).",

@@ -28,8 +28,10 @@ smallest mass, it is bracketed by
     M / Phi^{-1}(mu(B)/mass_min)  <=  ||f||_{Phi,B}  <=  M / Phi^{-1}(1).
 
 Power-log roots are Newton solves in log(lam), each from its own bracket, in
-the module's one safeguarded Newton loop (``_newton``); ``Power`` roots come
-from Illinois-damped false position over a whole batch (``_illinois``).
+the module's one safeguarded Newton loop (``_newton``).  ``Power`` roots come
+from Illinois-damped false position (``_illinois``) over a batch, the distinct
+pairs of one (stack, chunk) under one phi: a root depends on its own batch,
+never on what else shares the loop.
 
 Root-finding tolerances are the module constants below; each checker's
 headroom sits in the check it serves (see the README).
@@ -136,16 +138,22 @@ def _newton(func, x, lo, hi, what, *data):
     raise NumericalError(f"{what}: Newton solve did not converge in {MAX_ITER} steps")
 
 
-def _newton_log(y, c, alpha, beta, a, what, start=None):
+def _newton_log(y, c, alpha, beta, a, what, start=None, floor=False):
     """Solve u**c * L**(a-1) * (alpha*L + beta*r) = y for v = log u (1-d y > 0).
 
     ``_newton`` on ``_log_kernel`` from ``start`` (log u, clipped to the
     domain; NaN or None starts at the root for a = 0).  The kernel increases
     in v, so its values at v = +-LOG_U_MAX show at once that every root lies
-    in that domain, each element's starting bracket.
+    in that domain, each element's starting bracket.  With ``floor``, a root
+    below the domain is v = -inf (u = 0); any other root beyond it raises.
     """
     ly = np.log(y)
     f_min, f_max = _domain_ends(c, alpha, beta, a, LOG_U_MAX)
+    if floor and ly.min() < f_min:
+        v, keep = np.full(y.size, -np.inf), ly >= f_min
+        if keep.any():
+            v[keep] = _newton_log(y[keep], c, alpha, beta, a, what, None if start is None else start[keep])
+        return v
     if ly.min() < f_min or ly.max() > f_max:
         raise NumericalError(f"{what}: root u lies beyond exp(+-{LOG_U_MAX:g})")
     v = np.clip((ly - math.log(alpha or beta)) / (c or 1.0), -LOG_U_MAX, LOG_U_MAX)
@@ -286,14 +294,15 @@ class NumericConjugate(YoungFunction):
 
     def warm(self, t, state=None):
         """(Phibar(t), Phibar'(t) = u*), u* the argmax; each argmax solve starts at
-        its entry of ``state`` (log u*, NaN for cold) and overwrites it."""
+        its entry of ``state`` (log u*, NaN for cold) and overwrites it; both
+        are 0 where u* < exp(-LOG_U_MAX) puts Phibar below the float range."""
         t = np.asarray(t, dtype=float)
         out, u = np.zeros(t.shape), np.zeros(t.shape)
         pos = t > self._kink
         if pos.any():
             s, a = self.base.s, self.base.a  # the argmax solves base'(u) = t
             v = _newton_log(t[pos], s - 1.0, s, a, a, f"{self.label} argmax",
-                            None if state is None else state[pos])
+                            None if state is None else state[pos], floor=True)
             if state is not None:
                 state[pos] = v
             u[pos] = up = np.exp(v)
@@ -316,25 +325,25 @@ class NumericConjugate(YoungFunction):
         return self.base
 
 
-def _norms_core(member, weighted, mu, mass, fmat, phi):
-    """Luxemburg norms of every row of ``fmat`` over every ball row.
-
-    member : (m, n) bool, weighted = member*mass : (m, n), mu : (m,).
-    Returns (k, m).  Rows/balls where f vanishes get norm 0.
+def _norms_core(member, weighted, mu, mass, jobs):
+    """Luxemburg norms of every row of each job's (fmat (k, n), [phi, ...]) over
+    every ball row under each phi: per job and phi, a (k, m) array.  member :
+    (m, n) bool, weighted = member*mass, mu : (m,).  Where f vanishes, 0.
 
     A root depends only on the restricted row f*chi_B and on mu(B): off B,
-    ``weighted`` multiplies Phi(0) = 0.  So each distinct active pair of a
-    chunk is solved once and its root scattered back.  A ``Power`` root
-    depends on its batch: ``_illinois`` steps the batch, from the bracket of
-    the largest mu(B), until its widest bracket is within REL_TOL.  Any
-    other root is a ``_newton`` solve of g(x) = log(mu(B) / sum Phi(t) w) = 0,
-    t = f e^{-x}, g' = sum Phi'(t) t w / sum Phi(t) w, from the midpoint of its
-    own bracket, with Phi and Phi' from one ``phi.warm`` evaluation that
-    carries the conjugate's log argmax per entry to the next; it has the bits
-    of the single-ball ``luxemburg_norm`` of its pair.
+    ``weighted`` multiplies Phi(0) = 0.  So each chunk of a stack is
+    deduplicated once for all its phis, and each distinct active pair solved
+    once per phi.  A ``Power`` root depends on its batch, the distinct pairs of
+    one (stack, chunk) under one phi, and on nothing else: ``_illinois`` steps
+    it from the bracket of its largest mu(B) until its own widest bracket is
+    within REL_TOL, in one loop with the batches before it that fit a chunk's
+    workspace.  Any other root is a ``_newton`` solve of
+    g(x) = log(mu(B) / sum Phi(t) w) = 0, t = f e^{-x}, g' = sum Phi'(t) t w /
+    sum Phi(t) w, from the midpoint of its own bracket, with Phi and Phi' from
+    one ``phi.warm`` evaluation that carries the conjugate's log argmax per
+    entry to the next; it has the bits of the single-ball ``luxemburg_norm``.
     """
-    k = fmat.shape[0]
-    out = np.zeros((k, member.shape[0]))
+    outs = [[np.zeros((len(fmat), len(member))) for _ in phis] for fmat, phis in jobs]
     # the module docstring's bracket; a Python float division overflows to inf without a warning
     ratio = float(mu.max()) / float(mass.min())
     if ratio == math.inf:
@@ -342,68 +351,111 @@ def _norms_core(member, weighted, mu, mass, fmat, phi):
             f"mass ratio mu_max/mass_min = {mu.max():g}/{mass.min():g} overflows, "
             f"so no Luxemburg norm can be bracketed"
         )
-    what = f"Luxemburg norm under {phi!r}"
-    inv_one = float(np.asarray(phi.inverse(1.0)))
-    # Power keeps _illinois while the benchmark pins its roots' residuals (ROADMAP item 1)
-    batch_inv = float(np.asarray(phi.inverse(ratio))) if isinstance(phi, Power) else None
+    pending = {}  # Power batches by phi for the next Illinois loop
 
-    def gap(x, f, w, mu_b, state):
+    def gap(x, f, w, mu_b, state, phi):
         t = f / np.exp(x)[:, None]
         values, slopes = phi.warm(t, state)
         total = (values * w).sum(axis=1)
         return np.log(mu_b / total), (slopes * t * w).sum(axis=1) / total
 
+    def flush():
+        if not pending:
+            return
+        powers, runs = list(pending), np.arange(len(pending) + 1)
+        kinds, fa, wa, mua, xlo, xhi, targets, cells, backs = zip(
+            *[(kind, *batch) for kind, phi in enumerate(powers) for batch in pending.pop(phi)])
+        sizes = np.array([mu_b.size for mu_b in mua])
+        # a lone batch, the case of large inputs, is solved without a copy
+        fa, wa, mua, xlo, xhi = (part[0] if len(part) == 1 else np.concatenate(part)
+                                 for part in (fa, wa, mua, xlo, xhi))
+
+        def constraint(x, f, w, mu_b, kind):
+            cuts, scale = kind.searchsorted(runs), np.exp(x)[:, None]  # the batches of one phi are adjacent
+            parts = [phi(f[lo:hi] / scale[lo:hi])  # each with its scalar exponent
+                     for phi, lo, hi in zip(powers, cuts, cuts[1:]) if hi > lo]
+            return np.log(((parts[0] if len(parts) == 1 else np.concatenate(parts)) * w).sum(axis=1) / mu_b)
+
+        root = _illinois(constraint, xlo, xhi, np.cumsum(sizes) - sizes,
+                         f"Luxemburg norm under {' or '.join(map(repr, powers))}",
+                         fa, wa, mua, np.repeat(kinds, sizes))
+        for out, cell, back, part in zip(targets, cells, backs, np.split(root, np.cumsum(sizes)[:-1])):
+            out[cell] = np.exp(part)[back]
+
     chunk = rows_per_chunk(member.size)  # bounds the (k, m, n) workspace
-    for start in range(0, k, chunk):
-        rows = slice(start, min(start + chunk, k))
-        fx = fmat[rows][:, None, :] * member[None, :, :]  # (kc, m, n)
-        mx = fx.max(axis=2)
-        act = mx > 0
-        if not act.any():
-            continue
-        kk, bb = np.nonzero(act)
-        keys = np.column_stack([fx[kk, bb], mu[bb]])
-        # one opaque bytes item per row: sorting compares by memcmp, far
-        # cheaper than np.unique(axis=0) on float fields
-        keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
-        _, first, back = np.unique(keys, return_index=True, return_inverse=True)
-        uk, ub = kk[first], bb[first]
-        fa = fx[uk, ub]          # (nu, n) distinct active restricted functions
-        wa = weighted[ub]        # (nu, n)
-        mua = mu[ub]             # (nu,)
-        maxf = mx[uk, ub]
-        xhi = np.log(maxf / inv_one)
-        if batch_inv is None:
-            xlo = np.log(maxf / phi.inverse(mua / mass.min()))
-            root = _newton(gap, 0.5 * (xlo + xhi), xlo, xhi, what,
-                           fa, wa, mua, np.full(fa.shape, np.nan))
-        else:
-            root = _illinois(lambda x: np.log((phi(fa / np.exp(x)[:, None]) * wa).sum(axis=1) / mua),
-                             np.log(maxf / batch_inv), xhi, what)
-        out[start + kk, bb] = np.exp(root)[back]
-    return out
+    for (fmat, phis), job_outs in zip(jobs, outs):
+        for start in range(0, len(fmat), chunk):
+            rows = slice(start, start + chunk)
+            fx = fmat[rows][:, None, :] * member[None, :, :]  # (kc, m, n)
+            mx = fx.max(axis=2)
+            act = mx > 0
+            if not act.any():
+                continue
+            kk, bb = np.nonzero(act)
+            pairs = np.column_stack([fx[kk, bb], mu[bb]])
+            del fx  # the dedup's sort copies need its room
+            # one opaque bytes item per row: sorting compares by memcmp, far
+            # cheaper than np.unique(axis=0) on float fields
+            keys = pairs.view(np.dtype((np.void, pairs.itemsize * pairs.shape[1]))).ravel()
+            _, first, back = np.unique(keys, return_index=True, return_inverse=True)
+            uk, ub = kk[first], bb[first]
+            fa = pairs[first, :-1]   # (nu, n) distinct active restricted functions
+            wa = weighted[ub]        # (nu, n)
+            mua = mu[ub]             # (nu,)
+            maxf = mx[uk, ub]
+            for phi, out in zip(phis, job_outs):
+                xhi = np.log(maxf / phi.inverse(1.0))
+                # Power keeps _illinois while the benchmark pins its roots' residuals (ROADMAP item 1)
+                if isinstance(phi, Power):
+                    pending.setdefault(phi, []).append(
+                        (fa, wa, mua, np.log(maxf / phi.inverse(ratio)), xhi, out, (start + kk, bb), back))
+                    continue
+                xlo = np.log(maxf / phi.inverse(mua / mass.min()))
+                root = _newton(functools.partial(gap, phi=phi), 0.5 * (xlo + xhi), xlo, xhi,
+                               f"Luxemburg norm under {phi!r}", fa, wa, mua, np.full(fa.shape, np.nan))
+                out[start + kk, bb] = np.exp(root)[back]
+            held = sum(batch[0].size for group in pending.values() for batch in group) / member.size
+            if held + len(fmat[rows]) > chunk:  # the waiting batches and a chunk like this in one workspace
+                flush()
+    flush()
+    return outs
 
 
-def _illinois(func, xlo, xhi, what):
-    """Illinois-damped false position for a decreasing function.
+def _illinois(func, xlo, xhi, starts, what, *data):
+    """Illinois-damped false position for decreasing functions, on batches
+    concatenated in 1-d arrays, batch i from element ``starts[i]``.
 
-    func(xlo) >= 0 >= func(xhi) elementwise; xlo and xhi are updated in place.
-    Returns x with |bracket| <= REL_TOL, or raises NumericalError naming
+    ``func(x, *data)`` gives the values of the active elements, func(xlo) >= 0
+    >= func(xhi); ``data`` are per-element arrays compacted with them.  A batch
+    steps until its own widest bracket is within REL_TOL, and leaves with its
+    midpoints; all else is elementwise, so a root depends on its batch alone.
+    A batch still wider after MAX_ITER steps raises NumericalError naming
     ``what``.  Converges superlinearly on the near-affine log-log constraint
     while keeping the bisection bracket guarantee.
     """
-    fa, fb = func(xlo), func(xhi)
+    idx, root = np.arange(xlo.size), np.empty(xlo.size)
+    fa, fb = func(xlo, *data), func(xhi, *data)
     above = below = np.zeros(xlo.shape, dtype=bool)  # the last step's side; none before the first
-    for _ in range(MAX_ITER):
+    for step in range(MAX_ITER + 1):
         width = xhi - xlo
-        if width.max() <= REL_TOL:
-            break
+        done = np.maximum.reduceat(width, starts) <= REL_TOL
+        if done.any():
+            sizes = np.diff(starts, append=width.size)
+            out = np.repeat(done, sizes)
+            root[idx[out]] = 0.5 * (xlo[out] + xhi[out])
+            if done.all():
+                return root
+            idx, xlo, xhi, width, fa, fb, above, below, *data = (
+                arr[~out] for arr in (idx, xlo, xhi, width, fa, fb, above, below, *data))
+            starts = np.cumsum(sizes[~done]) - sizes[~done]
+        if step == MAX_ITER:
+            raise NumericalError(f"{what}: bracket wider than {REL_TOL:g} after {MAX_ITER} steps")
         with np.errstate(divide="ignore", invalid="ignore"):
             xt = (xlo * fb - xhi * fa) / (fb - fa)
         margin = 0.01 * width
         # a point that is NaN, infinite or within the margin of an end is the midpoint
         np.copyto(xt, 0.5 * (xlo + xhi), where=~((xt > xlo + margin) & (xt < xhi - margin)))
-        ft = func(xt)
+        ft = func(xt, *data)
         new = ft > 0.0  # an end kept at this step and the last has its value halved
         np.copyto(fa, 0.5 * fa, where=below > new)  # below then, and below now
         np.copyto(fb, 0.5 * fb, where=above & new)
@@ -412,23 +464,15 @@ def _illinois(func, xlo, xhi, what):
         np.copyto(fa, ft, where=above)
         np.copyto(xhi, xt, where=below)
         np.copyto(fb, ft, where=below)
-    if np.max(xhi - xlo) > REL_TOL:
-        raise NumericalError(f"{what}: bracket wider than {REL_TOL:g} after {MAX_ITER} steps")
-    return 0.5 * (xlo + xhi)
 
 
-def luxemburg_norm(
-    space: QuasiMetricSpace,
-    f,
-    ball: Ball,
-    phi: YoungFunction,
-) -> float:
+def luxemburg_norm(space: QuasiMetricSpace, f, ball: Ball, phi: YoungFunction) -> float:
     """Local Luxemburg norm of a nonnegative function over one ball."""
     f = as_field(space, f)
     member = ball_mask(space, ball)[None, :]
     weighted = member * space.mass[None, :]
     mu = weighted.sum(axis=1)
-    norms = _norms_core(member, weighted, mu, space.mass, f[None, :], phi)
+    norms = _norms_core(member, weighted, mu, space.mass, [(f[None, :], [phi])])[0][0]
     return float(norms[0, 0])
 
 
@@ -437,7 +481,7 @@ def luxemburg_norms_over_balls(space: QuasiMetricSpace, fmat, phi: YoungFunction
     (..., m), and a single field gives (1, m)."""
     tbl = ball_table(space)
     fmat = np.atleast_2d(as_fields(space, fmat, "fmat"))
-    norms = _norms_core(tbl.member, tbl.weighted, tbl.mu, space.mass, fmat.reshape(-1, space.n), phi)
+    norms = _norms_core(tbl.member, tbl.weighted, tbl.mu, space.mass, [(fmat.reshape(-1, space.n), [phi])])[0][0]
     return norms.reshape(fmat.shape[:-1] + (tbl.m,))
 
 

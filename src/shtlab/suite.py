@@ -14,6 +14,7 @@ checks see genuinely multi-level families.
 """
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import asdict
 
@@ -27,6 +28,7 @@ from .czdecomp import (
     verify_disjointing,
 )
 from .errors import InputError
+from .orlicz import Power, p_conjugate
 from .space import ball_table, check_dilation_bounds, check_engulfing, space_profile
 from .specio import _num, parse_phi, parse_space, parse_weight
 from .verify import (
@@ -39,6 +41,7 @@ from .verify import (
     verify_reductions,
     weak_rhi_probe,
 )
+from .weights import solve_orlicz_constants
 
 __all__ = ["default_manifest", "run_suite"]
 
@@ -257,6 +260,13 @@ def run_suite(manifest: dict) -> tuple[dict, dict]:
         for item in dil_bad:
             violations.append({"instance": name, "check": "dilation", "lambda": item["lambda"]})
         clock("space_checks", t0)
+
+        t0 = time.perf_counter()
+        with contextlib.suppress(InputError):  # the calls below read what this keeps, and raise any error in turn
+            pairs = [(Power(p_conjugate(p)), Power(p))] + [(phi, phi.conjugate()) for phi in map(parse_phi, phis)]
+            solve_orlicz_constants(space, [request for bump, wp in pairs for request in (
+                ("bump_ap", w, sigma, p, bump), ("wp_constant", sigma, p, wp))])
+        clock("orlicz", t0)
 
         t0 = time.perf_counter()
         red = verify_reductions(space, w, sigma, p)

@@ -18,12 +18,8 @@ import math
 import numpy as np
 
 from .errors import InputError
-from .maximal import orlicz_maximal, restricted_maximal_table
-from .orlicz import (
-    YoungFunction,
-    luxemburg_norms_over_balls,
-    p_conjugate,
-)
+from .maximal import restricted_maximal_table
+from .orlicz import YoungFunction, _norms_core, p_conjugate
 from .space import QuasiMetricSpace, as_field, ball_table
 
 __all__ = [
@@ -34,6 +30,7 @@ __all__ = [
     "ainfty_exp",
     "bump_ap",
     "wp_constant",
+    "solve_orlicz_constants",
     "sawyer_constant",
     "constants_report",
 ]
@@ -55,11 +52,8 @@ def _finite(constant):
 
     @functools.wraps(constant)
     def checked(*args, **kwargs):
-        inputs = signature.bind(*args, **kwargs).arguments
+        inputs, key = _bind(signature, constant.__name__, args, kwargs)
         space = inputs["space"]
-        # the weights are validated here, for the key and for the body
-        inputs.update({k: as_weight(space, inputs[k]) for k in ("w", "sigma") if k in inputs})
-        key = _memo_key(constant.__name__, inputs)
         if key not in space._memo:
             value = constant(**inputs)
             if not math.isfinite(value):
@@ -68,6 +62,15 @@ def _finite(constant):
         return space._memo[key]
 
     return checked
+
+
+def _bind(signature, name, args, kwargs):
+    """The inputs of a call of constant ``name``, its weights validated, and its memo key."""
+    inputs = signature.bind(*args, **kwargs).arguments
+    space = inputs["space"]
+    # the weights are validated here, for the key and for the body
+    inputs.update({k: as_weight(space, inputs[k]) for k in ("w", "sigma") if k in inputs})
+    return inputs, _memo_key(name, inputs)
 
 
 def _memo_key(name, inputs):
@@ -116,22 +119,51 @@ def ainfty_exp(space: QuasiMetricSpace, w) -> float:
     return float(np.max(tbl.averages(w) * np.exp(-tbl.averages(np.log(w)))))
 
 
-@_finite
-def bump_ap(
-    space: QuasiMetricSpace,
-    w,
-    sigma,
-    p: float,
-    phi: YoungFunction,
-) -> float:
+_PLANS = {}  # name -> (signature, plan) of each constant read off Luxemburg norms
+
+
+def _from_norms(plan):
+    """The weight constant of ``plan``: on the constant's inputs, the plan gives
+    the fields whose Luxemburg norms under ``phi`` the constant reads, and the
+    constant as a function of those norms.  A call is ``solve_orlicz_constants``
+    with its one request."""
+    _PLANS[plan.__name__] = inspect.signature(plan), plan
+    return _finite(functools.wraps(plan)(lambda space, **inputs: solve_orlicz_constants(
+        space, [(plan.__name__, *inputs.values())])[0]))
+
+
+def solve_orlicz_constants(space: QuasiMetricSpace, requests) -> list:
+    """The ``bump_ap`` and ``wp_constant`` of each request, (name, *the call's
+    arguments after the space), from one Luxemburg solve in which the requests on
+    the same fields share one job.  Each finite value is kept on the space under
+    the key of its own call, which then reads it; a value that is not finite is
+    not kept, so its own call still raises."""
+    jobs, reads = {}, []
+    for name, *args in requests:
+        signature, plan = _PLANS[name]
+        inputs, key = _bind(signature, name, (space, *args), {})
+        fields, value = plan(**inputs)
+        job = fields.shape, fields.tobytes()
+        jobs.setdefault(job, (fields, {}))[1][inputs["phi"]] = None  # its phis in order, each once
+        reads.append((key, job, inputs["phi"], value))
+    tbl = ball_table(space)
+    sweeps = _norms_core(tbl.member, tbl.weighted, tbl.mu, space.mass,
+                         [(np.atleast_2d(fields), list(phis)) for fields, phis in jobs.values()])
+    norms = {job: dict(zip(phis, out)) for (job, (_, phis)), out in zip(jobs.items(), sweeps)}
+    values = [value(norms[job][phi]) for _, job, phi, value in reads]
+    space._memo.update((key, v) for (key, *_), v in zip(reads, values) if math.isfinite(v))
+    return values
+
+
+@_from_norms
+def bump_ap(space: QuasiMetricSpace, w, sigma, p: float, phi: YoungFunction) -> float:
     """Orlicz-bump constant: sup_B (avg_B w) * ||sigma**(1/p')||_{Phi,B}**p."""
     pc = p_conjugate(p)
     tbl = ball_table(space)
-    norms = luxemburg_norms_over_balls(space, sigma ** (1.0 / pc), phi)[0]
-    return float(np.max(tbl.averages(w) * norms**p))
+    return sigma ** (1.0 / pc), lambda norms: float(np.max(tbl.averages(w) * norms[0] ** p))
 
 
-@_finite
+@_from_norms
 def wp_constant(space: QuasiMetricSpace, sigma, p: float, phi: YoungFunction) -> float:
     """Orlicz generalization of the Fujii-Wilson constant.
 
@@ -144,9 +176,9 @@ def wp_constant(space: QuasiMetricSpace, sigma, p: float, phi: YoungFunction) ->
     sb = tbl.weighted @ sigma
     live = sb > 0
     g = sigma ** (1.0 / p)
-    mphi = orlicz_maximal(space, g[None, :] * tbl.member[live], phi)  # rows: M_Phi(g * chi_B)
-    totals = (mphi**p * tbl.weighted[live]).sum(axis=1)
-    return float(np.max(totals / sb[live]))
+    # the point maxima of the norms of the rows g * chi_B are M_Phi(g * chi_B)
+    return g[None, :] * tbl.member[live], lambda norms: float(np.max(
+        (tbl.point_max(norms) ** p * tbl.weighted[live]).sum(axis=1) / sb[live]))
 
 
 @_finite

@@ -51,6 +51,12 @@ def midpoint_past_unseen_end(monkeypatch):
     monkeypatch.setattr(orlicz, "_newton", mutated(orlicz._newton, rule, "0.5 * (lo + hi)"))
 
 
+def loop_wide_stop(monkeypatch):
+    stop = "np.maximum.reduceat(width, starts) <= REL_TOL"
+    monkeypatch.setattr(orlicz, "_illinois",
+                        mutated(orlicz._illinois, stop, "np.full(len(starts), width.max() <= REL_TOL)"))
+
+
 def scaled(constant):
     """The fault that scales every value of ``constant`` by 1 + 1e-9."""
     def fault(monkeypatch):
@@ -131,6 +137,9 @@ ROWS = [
         "A Newton point outside the bracket moves to the end it crossed if that end was "
         "never evaluated, and to the bracket's midpoint otherwise.",
         midpoint_past_unseen_end, orlicz_tests.test_newton_luxemburg_solves_take_few_evaluations),
+    Row(orlicz._illinois,
+        "A batch steps until its own widest bracket is within REL_TOL, and leaves with its midpoints",
+        loop_wide_stop, orlicz_tests.test_power_batches_keep_their_bits_in_one_illinois_loop),
     Row(weights.ap_constant, "sup_B (avg_B w) * (avg_B w**(-1/(p-1)))**(p-1).",
         scaled(weights.ap_constant), weights_tests.test_ap_ones, (4,)),
     Row(weights.two_weight_ap, "sup_B (avg_B w) * (avg_B sigma)**(p-1).",

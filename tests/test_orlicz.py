@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy import integrate
 
 from conftest import random_cloud, whole_ball
-from shtlab import orlicz
+from shtlab import orlicz, space
 from shtlab.errors import InputError, NumericalError
 from shtlab.orlicz import (
     NumericConjugate,
@@ -355,28 +356,78 @@ def _scalar_bisect(g, y, x0):
     return math.exp(0.5 * (a + b))
 
 
+def _bisection_norms(sp, fmat, phi):
+    """Independent oracle: per (row, ball), bisect the Luxemburg constraint,
+    increasing in x = 1/lam, for its unit level."""
+    tbl = ball_table(sp)
+    want = np.zeros((len(fmat), tbl.m))
+    for i, f in enumerate(fmat):
+        for b in range(tbl.m):
+            fb, wb = f[tbl.member[b]], sp.mass[tbl.member[b]]
+
+            def constraint(x):
+                return (phi(fb * x) * wb).sum() / tbl.mu[b]
+
+            want[i, b] = 1.0 / _scalar_bisect(constraint, 1.0, 1.0 / fb.max())
+    return want
+
+
 def test_sweep_matches_bisection_oracle():
-    # independent oracle: per (row, ball), bisect the Luxemburg constraint,
-    # increasing in x = 1/lam, for its unit level
     rng = np.random.default_rng(3)
     sp = random_cloud(rng, 9)
-    tbl = ball_table(sp)
     fmat = 10.0 ** rng.uniform(-1, 1, size=(3, 9))
     # PowerLog(1, 1)'s conjugate vanishes on [0, 1], a kink inside some brackets
     for phi in (Power(2.0), PowerLog(2.0, 1.0), NumericConjugate(PowerLog(2.0, 1.0)),
                 PowerLog(1.0, 1.0).conjugate()):
         got = luxemburg_norms_over_balls(sp, fmat, phi)
-        want = np.zeros_like(got)
-        for i, f in enumerate(fmat):
-            for b in range(tbl.m):
-                fb, wb = f[tbl.member[b]], sp.mass[tbl.member[b]]
+        assert np.allclose(got, _bisection_norms(sp, fmat, phi), rtol=1e-10, atol=0), phi
 
-                def constraint(x):
-                    return (phi(fb * x) * wb).sum() / tbl.mu[b]
 
-                x = _scalar_bisect(constraint, 1.0, 1.0 / fb.max())
-                want[i, b] = 1.0 / x
-        assert np.allclose(got, want, rtol=1e-10, atol=0), phi
+def test_conjugate_is_zero_where_its_argmax_underflows(line4):
+    # base'(u) = t at t = 0.9 has u* near e^-1054, far below exp(-LOG_U_MAX): the
+    # conjugate (at most u* t) and its slope u* are 0 in floats, and the sweep over
+    # members that reach such t still has its norms; an argmax above exp(LOG_U_MAX)
+    # still raises
+    conj = PowerLog(1.0001, 0.5).conjugate()
+    assert conj(0.9) == 0.0 and conj.derivative(0.9) == 0.0
+    fmat = np.array([[1.0, 2.0, 3.0, 4.0]])
+    got = luxemburg_norms_over_balls(line4, fmat, conj)
+    assert np.allclose(got, _bisection_norms(line4, fmat, conj), rtol=1e-10, atol=0)
+    with pytest.raises(NumericalError, match=r"powerlog:1.0001:0.5\) argmax: root u lies beyond"):
+        conj(100.0)
+
+
+def test_power_batches_keep_their_bits_in_one_illinois_loop():
+    # a Power root depends on its own (stack, chunk) batch and not on the others
+    # in its Illinois loop: one _norms_core call on several stacks and phis gives
+    # the bits of each row solved alone.  Each stack repeats every row once, and
+    # the budget makes a chunk two rows, so one row twice, with that row's
+    # distinct pairs: a loop takes the Power batches of one chunk.
+    loops, illinois = [], orlicz._illinois
+
+    def counted(func, xlo, xhi, starts, *rest):
+        loops.append(len(starts))
+        return illinois(func, xlo, xhi, starts, *rest)
+
+    # Power(1.2)'s conjugate exponent 1.2/0.2 rounds to 6.000000000000001
+    phis = [Power(2.0), Power(1.2).conjugate(), Power(1.5), PowerLog(2.0, 1.0)]
+    rng = np.random.default_rng(71)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(orlicz, "_illinois", counted)
+        for trial in range(6):
+            sp = random_cloud(rng, int(rng.integers(4, 8)), dim=1 + trial % 2)
+            tbl = ball_table(sp)
+            patch.setattr(space, "WORKSPACE_ELEMENTS", 2 * tbl.member.size)
+            stacks = [10.0 ** rng.uniform(-1.5, 1.5, size=(int(rng.integers(1, 4)), sp.n)) for _ in range(3)]
+            stacks[0][0, rng.integers(sp.n)] = 0.0
+            core = functools.partial(orlicz._norms_core, tbl.member, tbl.weighted, tbl.mu, sp.mass)
+            loops.clear()
+            together = core([(np.repeat(rows, 2, axis=0), phis) for rows in stacks])
+            assert len(loops) >= 2 and max(loops) >= 2, loops
+            for rows, job in zip(stacks, together):
+                for phi, norms in zip(phis, job):
+                    alone = [core([(row[None, :], [phi])])[0][0][0] for row in rows]
+                    assert np.array_equal(norms, np.repeat(alone, 2, axis=0)), (trial, phi)
 
 
 class CountingYoung(YoungFunction):

@@ -241,6 +241,22 @@ def test_constants_sweep_csv(files, capsys):
     assert len(lines) == 4
 
 
+def test_constants_sweep_rows_are_their_single_runs(files, capsys):
+    # the sweep's bump and wp come from one Luxemburg solve in which each batch
+    # stops on its own bracket, so each row has the bytes of its exponent alone
+    space = files["dir"] / "wideline.json"
+    space.write_text(json.dumps({"type": "explicit", "dist": [[0, 1, 2, 3], [1, 0, 1, 2], [2, 1, 0, 1], [3, 2, 1, 0]],
+                                 "mass": [1e-6, 1, 1, 1e6]}))
+    ramp = files["dir"] / "ramp.json"
+    ramp.write_text("[1, 2, 3, 4]")
+    args = ["constants", "--space", str(space), "--w", str(ramp), "--sigma", str(ramp), "--format", "csv"]
+    code, out = run_cli(args + ["--p", "1.5,2,3"], capsys)
+    assert code == 0
+    rows = out.splitlines()
+    for p, row in zip(("1.5", "2", "3"), rows[1:]):
+        assert run_cli(args + ["--p", p], capsys) == (0, "\n".join([rows[0], row]) + "\n")
+
+
 def test_cz_command_single_level(files, capsys):
     code, out = run_cli(
         ["cz", "--space", files["space"], "--f", files["spike"], "--lambda", "4"],

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_cloud
-from shtlab import maximal, orlicz, suite, verify, weights
+from shtlab import suite, verify, weights
 from shtlab.errors import InputError
 from shtlab.orlicz import Power, PowerLog, alpha_p
 from shtlab.space import ball_table, space_profile
@@ -302,24 +302,26 @@ def test_chain_constant_matches_formula(line4):
 
 
 def test_one_instance_reuses_its_weight_constants(monkeypatch):
-    # at p = 2 the reductions' bump(Power(p')) and wp(Power(p)) are chain 1's,
-    # so 6 of the 8 Luxemburg sweeps remain; a memo that never hits, as if
-    # cleared between calls, runs all 8 and gives the same report
+    # one Luxemburg solve takes the norms of the reductions and chains: its jobs
+    # are bump's sigma**(1/p') and wp's rows sigma**(1/p) * chi_B, and at p = 2
+    # the reductions' bump(Power(p')) and wp(Power(p)) are chain 1's, so the six
+    # Young functions below remain; every constant then reads the memo.  A memo
+    # that never hits, as if cleared between calls, adds one solve for each of
+    # the 8 calls and gives the same report
     manifest = {"seed": 1, "instances": [{
         "name": "atom", "space": {"type": "grid", "shape": [4]},
         "w": [1.0, 1.0, 1.0, 9.0], "sigma": [1.0, 1.0, 1.0, 1.0], "p": 2.0}]}
-    sweep, calls = orlicz.luxemburg_norms_over_balls, []
+    core, calls = weights._norms_core, []
 
     def counted(*args):
-        calls.append(args[2].label)
-        return sweep(*args)
+        calls.append([[phi.label for phi in phis] for _, phis in args[4]])
+        return core(*args)
 
-    for module in (weights, maximal):
-        monkeypatch.setattr(module, "luxemburg_norms_over_balls", counted)
+    monkeypatch.setattr(weights, "_norms_core", counted)
     report, _ = suite.run_suite(manifest)
-    assert calls == ["power:2", "power:2", "power:4", "power:1.33333",
-                     "powerlog:2:1", "conjugate(powerlog:2:1)"]
+    assert calls == [[["power:2", "power:4", "powerlog:2:1"],
+                      ["power:2", "power:1.33333", "conjugate(powerlog:2:1)"]]]
     calls.clear()
     monkeypatch.setattr(weights, "_memo_key", lambda name, inputs: object())
     assert suite.run_suite(manifest)[0] == report
-    assert len(calls) == 8
+    assert len(calls) == 1 + 8

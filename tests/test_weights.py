@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from shtlab.weights import (
     bump_ap,
     constants_report,
     sawyer_constant,
+    solve_orlicz_constants,
     two_weight_ap,
     wp_constant,
 )
@@ -365,3 +367,31 @@ BIG4 = np.full(4, 1e300)
 def test_non_finite_constant_is_refused_by_name(line4, name, compute):
     with pytest.raises(InputError, match=rf"^{name} is (inf|nan), not a finite number$"):
         compute(line4)
+
+
+def test_batched_constants_are_their_single_calls():
+    # solve_orlicz_constants gives each request the bits of its single call on a
+    # fresh space, and keeps it under that call's key: the call then adds nothing
+    rng = np.random.default_rng(73)
+    for trial in range(4):
+        sp = random_cloud(rng, int(rng.integers(3, 7)), dim=1 + trial % 2)
+        w, sigma = (10.0 ** rng.uniform(-1, 1, sp.n) for _ in range(2))
+        requests = [request for p in (1.2, 2.0, 3.0)
+                    for phi in (Power(p / (p - 1.0)), Power(4.0), PowerLog(2.0, 1.0).conjugate())
+                    for request in (("bump_ap", w, sigma, p, phi), ("wp_constant", sigma, p, phi))]
+        values = solve_orlicz_constants(sp, requests)
+        kept = len(sp._memo)
+        for (name, *args), value in zip(requests, values):
+            single = MEMOISED[name](QuasiMetricSpace(sp.dist, sp.mass), w, *args[-3:])
+            assert value == single == MEMOISED[name](sp, w, *args[-3:]), (trial, name, args[-2:])
+        assert kept == len(sp._memo) == len(requests)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow warns
+def test_batched_constants_keep_finite_values_only(line4):
+    values = solve_orlicz_constants(line4, [("bump_ap", BIG4, BIG4, 2.0, Power(2.0)),
+                                            ("bump_ap", ONES4, ONES4, 2.0, Power(2.0))])
+    assert values[0] == math.inf and values[1] == pytest.approx(1.0, rel=1e-9)
+    assert list(line4._memo.values()) == values[1:]
+    with pytest.raises(InputError, match=r"^bump_ap is inf, not a finite number$"):
+        bump_ap(line4, BIG4, BIG4, 2.0, Power(2.0))

@@ -28,10 +28,9 @@ smallest mass, it is bracketed by
     M / Phi^{-1}(mu(B)/mass_min)  <=  ||f||_{Phi,B}  <=  M / Phi^{-1}(1).
 
 Power-log roots are Newton solves in log(lam), each from its own bracket, in
-the module's one safeguarded Newton loop (``_newton``).  ``Power`` roots come
-from Illinois-damped false position (``_illinois``) over a batch, the distinct
-pairs of one (stack, chunk) under one phi: a root depends on its own batch,
-never on what else shares the loop.
+the module's one safeguarded Newton loop (``_newton``); a ``Power`` root comes
+from Illinois-damped false position (``_illinois``) and depends on its own
+batch of distinct pairs, never on what else shares the loop.
 
 Root-finding tolerances are the module constants below; each checker's
 headroom sits in the check it serves (see the README).
@@ -149,12 +148,12 @@ def _newton_log(y, c, alpha, beta, a, what, start=None, floor=False):
     """
     ly = np.log(y)
     f_min, f_max = _domain_ends(c, alpha, beta, a, LOG_U_MAX)
-    if floor and ly.min() < f_min:
+    if (low := ly.min() < f_min) and floor:
         v, keep = np.full(y.size, -np.inf), ly >= f_min
         if keep.any():
             v[keep] = _newton_log(y[keep], c, alpha, beta, a, what, None if start is None else start[keep])
         return v
-    if ly.min() < f_min or ly.max() > f_max:
+    if low or ly.max() > f_max:
         raise NumericalError(f"{what}: root u lies beyond exp(+-{LOG_U_MAX:g})")
     v = np.clip((ly - math.log(alpha or beta)) / (c or 1.0), -LOG_U_MAX, LOG_U_MAX)
     if start is not None:
@@ -327,21 +326,20 @@ class NumericConjugate(YoungFunction):
 
 def _norms_core(member, weighted, mu, mass, jobs):
     """Luxemburg norms of every row of each job's (fmat (k, n), [phi, ...]) over
-    every ball row under each phi: per job and phi, a (k, m) array.  member :
-    (m, n) bool, weighted = member*mass, mu : (m,).  Where f vanishes, 0.
+    every ball row: per job and phi, (k, m).  member : (m, n) bool, weighted =
+    member*mass, mu : (m,).  Where f vanishes, 0.
 
     A root depends only on the restricted row f*chi_B and on mu(B): off B,
     ``weighted`` multiplies Phi(0) = 0.  So each chunk of a stack is
-    deduplicated once for all its phis, and each distinct active pair solved
-    once per phi.  A ``Power`` root depends on its batch, the distinct pairs of
-    one (stack, chunk) under one phi, and on nothing else: ``_illinois`` steps
-    it from the bracket of its largest mu(B) until its own widest bracket is
-    within REL_TOL, in one loop with the batches before it that fit a chunk's
-    workspace.  Any other root is a ``_newton`` solve of
-    g(x) = log(mu(B) / sum Phi(t) w) = 0, t = f e^{-x}, g' = sum Phi'(t) t w /
-    sum Phi(t) w, from the midpoint of its own bracket, with Phi and Phi' from
-    one ``phi.warm`` evaluation that carries the conjugate's log argmax per
-    entry to the next; it has the bits of the single-ball ``luxemburg_norm``.
+    deduplicated once for all its phis.  A ``Power`` root depends on its batch,
+    the distinct pairs of one (stack, chunk) under one phi, and on nothing else:
+    ``_illinois`` steps it from the bracket of its largest mu(B) until its own
+    widest bracket is within REL_TOL, in one loop with the batches waiting with
+    it.  Any other root is a ``_newton`` solve of g(x) = log(mu(B) / sum Phi(t)
+    w) = 0, t = f e^{-x}, g' = sum Phi'(t) t w / sum Phi(t) w, from the midpoint
+    of its own bracket, with Phi and Phi' from one ``phi.warm`` evaluation that
+    carries the conjugate's log argmax per entry to the next; it has the bits
+    of the single-ball ``luxemburg_norm`` of its pair.
     """
     outs = [[np.zeros((len(fmat), len(member))) for _ in phis] for fmat, phis in jobs]
     # the module docstring's bracket; a Python float division overflows to inf without a warning
@@ -351,7 +349,7 @@ def _norms_core(member, weighted, mu, mass, jobs):
             f"mass ratio mu_max/mass_min = {mu.max():g}/{mass.min():g} overflows, "
             f"so no Luxemburg norm can be bracketed"
         )
-    pending = {}  # Power batches by phi for the next Illinois loop
+    pending = {}  # the Power batches waiting for an Illinois loop, by phi
 
     def gap(x, f, w, mu_b, state, phi):
         t = f / np.exp(x)[:, None]
@@ -360,10 +358,8 @@ def _norms_core(member, weighted, mu, mass, jobs):
         return np.log(mu_b / total), (slopes * t * w).sum(axis=1) / total
 
     def flush():
-        if not pending:
-            return
         powers, runs = list(pending), np.arange(len(pending) + 1)
-        kinds, fa, wa, mua, xlo, xhi, targets, cells, backs = zip(
+        kinds, fa, wa, mua, xlo, xhi, ends = zip(
             *[(kind, *batch) for kind, phi in enumerate(powers) for batch in pending.pop(phi)])
         sizes = np.array([mu_b.size for mu_b in mua])
         # a lone batch, the case of large inputs, is solved without a copy
@@ -371,15 +367,14 @@ def _norms_core(member, weighted, mu, mass, jobs):
                                  for part in (fa, wa, mua, xlo, xhi))
 
         def constraint(x, f, w, mu_b, kind):
-            cuts, scale = kind.searchsorted(runs), np.exp(x)[:, None]  # the batches of one phi are adjacent
-            parts = [phi(f[lo:hi] / scale[lo:hi])  # each with its scalar exponent
-                     for phi, lo, hi in zip(powers, cuts, cuts[1:]) if hi > lo]
-            return np.log(((parts[0] if len(parts) == 1 else np.concatenate(parts)) * w).sum(axis=1) / mu_b)
+            cuts, t = kind.searchsorted(runs), f / np.exp(x)[:, None]
+            for phi, lo, hi in zip(powers, cuts, cuts[1:]):  # the batches of one phi are adjacent
+                np.multiply(phi(t[lo:hi]), w[lo:hi], out=t[lo:hi])  # each phi with its scalar exponent
+            return np.log(t.sum(axis=1) / mu_b)
 
-        root = _illinois(constraint, xlo, xhi, np.cumsum(sizes) - sizes,
-                         f"Luxemburg norm under {' or '.join(map(repr, powers))}",
+        root = _illinois(constraint, xlo, xhi, sizes, f"Luxemburg norm under {' or '.join(map(repr, powers))}",
                          fa, wa, mua, np.repeat(kinds, sizes))
-        for out, cell, back, part in zip(targets, cells, backs, np.split(root, np.cumsum(sizes)[:-1])):
+        for (out, cell, back), part in zip(ends, np.split(root, np.cumsum(sizes)[:-1])):
             out[cell] = np.exp(part)[back]
 
     chunk = rows_per_chunk(member.size)  # bounds the (k, m, n) workspace
@@ -408,46 +403,47 @@ def _norms_core(member, weighted, mu, mass, jobs):
                 # Power keeps _illinois while the benchmark pins its roots' residuals (ROADMAP item 1)
                 if isinstance(phi, Power):
                     pending.setdefault(phi, []).append(
-                        (fa, wa, mua, np.log(maxf / phi.inverse(ratio)), xhi, out, (start + kk, bb), back))
+                        (fa, wa, mua, np.log(maxf / phi.inverse(ratio)), xhi, (out, (start + kk, bb), back)))
                     continue
                 xlo = np.log(maxf / phi.inverse(mua / mass.min()))
                 root = _newton(functools.partial(gap, phi=phi), 0.5 * (xlo + xhi), xlo, xhi,
                                f"Luxemburg norm under {phi!r}", fa, wa, mua, np.full(fa.shape, np.nan))
                 out[start + kk, bb] = np.exp(root)[back]
+            # approximate: held is the waiting batches' concatenated fa; wa, the copies
+            # and the loop's temporaries are a few times it, a fa shared by phis is held once
             held = sum(batch[0].size for group in pending.values() for batch in group) / member.size
-            if held + len(fmat[rows]) > chunk:  # the waiting batches and a chunk like this in one workspace
+            if held + len(fmat[rows]) > chunk:  # they and a chunk like this would outgrow one workspace
                 flush()
-    flush()
+    if pending:
+        flush()
     return outs
 
 
-def _illinois(func, xlo, xhi, starts, what, *data):
-    """Illinois-damped false position for decreasing functions, on batches
-    concatenated in 1-d arrays, batch i from element ``starts[i]``.
-
-    ``func(x, *data)`` gives the values of the active elements, func(xlo) >= 0
-    >= func(xhi); ``data`` are per-element arrays compacted with them.  A batch
-    steps until its own widest bracket is within REL_TOL, and leaves with its
-    midpoints; all else is elementwise, so a root depends on its batch alone.
-    A batch still wider after MAX_ITER steps raises NumericalError naming
-    ``what``.  Converges superlinearly on the near-affine log-log constraint
-    while keeping the bisection bracket guarantee.
+def _illinois(func, xlo, xhi, sizes, what, *data):
+    """Illinois-damped false position for decreasing functions on batches of
+    ``sizes`` elements, concatenated in 1-d arrays: ``func(x, *data)`` gives the
+    values of the active elements, func(xlo) >= 0 >= func(xhi), and ``data``
+    are per-element arrays compacted with them.  A batch steps until its own
+    widest bracket is within REL_TOL, and leaves with its midpoints, or raises
+    NumericalError naming ``what`` after MAX_ITER steps; all else is
+    elementwise, so a root depends on its batch alone.  Converges superlinearly
+    on the near-affine log-log constraint while keeping the bisection bracket
+    guarantee.
     """
     idx, root = np.arange(xlo.size), np.empty(xlo.size)
     fa, fb = func(xlo, *data), func(xhi, *data)
     above = below = np.zeros(xlo.shape, dtype=bool)  # the last step's side; none before the first
     for step in range(MAX_ITER + 1):
         width = xhi - xlo
-        done = np.maximum.reduceat(width, starts) <= REL_TOL
+        done = np.maximum.reduceat(width, np.cumsum(sizes) - sizes) <= REL_TOL
         if done.any():
-            sizes = np.diff(starts, append=width.size)
             out = np.repeat(done, sizes)
             root[idx[out]] = 0.5 * (xlo[out] + xhi[out])
             if done.all():
                 return root
             idx, xlo, xhi, width, fa, fb, above, below, *data = (
                 arr[~out] for arr in (idx, xlo, xhi, width, fa, fb, above, below, *data))
-            starts = np.cumsum(sizes[~done]) - sizes[~done]
+            sizes = sizes[~done]
         if step == MAX_ITER:
             raise NumericalError(f"{what}: bracket wider than {REL_TOL:g} after {MAX_ITER} steps")
         with np.errstate(divide="ignore", invalid="ignore"):

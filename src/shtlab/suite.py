@@ -28,7 +28,6 @@ from .czdecomp import (
     verify_disjointing,
 )
 from .errors import InputError
-from .orlicz import Power, p_conjugate
 from .space import ball_table, check_dilation_bounds, check_engulfing, space_profile
 from .specio import _num, parse_phi, parse_space, parse_weight
 from .verify import (
@@ -40,6 +39,7 @@ from .verify import (
     verify_main_chain,
     verify_reductions,
     weak_rhi_probe,
+    weight_constant_requests,
 )
 from .weights import solve_orlicz_constants
 
@@ -262,10 +262,8 @@ def run_suite(manifest: dict) -> tuple[dict, dict]:
         clock("space_checks", t0)
 
         t0 = time.perf_counter()
-        with contextlib.suppress(InputError):  # the calls below read what this keeps, and raise any error in turn
-            pairs = [(Power(p_conjugate(p)), Power(p))] + [(phi, phi.conjugate()) for phi in map(parse_phi, phis)]
-            solve_orlicz_constants(space, [request for bump, wp in pairs for request in (
-                ("bump_ap", w, sigma, p, bump), ("wp_constant", sigma, p, wp))])
+        with contextlib.suppress(InputError):  # the checks below read what this keeps, and meet any error in turn
+            solve_orlicz_constants(space, weight_constant_requests(w, sigma, p, map(parse_phi, phis)))
         clock("orlicz", t0)
 
         t0 = time.perf_counter()

@@ -216,6 +216,15 @@ def verify_reductions(
     }
 
 
+def weight_constant_requests(w, sigma, p: float, phis) -> list:
+    """The ``bump_ap`` and ``wp_constant`` calls of ``verify_reductions`` and of
+    ``verify_main_chain`` under each of ``phis``, as ``solve_orlicz_constants``
+    requests: solved at once, they leave each check only memo reads."""
+    pairs = [(Power(p_conjugate(p)), Power(p))] + [(phi, phi.conjugate()) for phi in phis]
+    return [request for bump, wp in pairs
+            for request in ((bump_ap, w, sigma, p, bump), (wp_constant, sigma, p, wp))]
+
+
 def probe_moen_and_norm(
     space: QuasiMetricSpace,
     w,

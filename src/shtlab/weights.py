@@ -47,12 +47,19 @@ def as_weight(space: QuasiMetricSpace, values) -> np.ndarray:
 def _finite(constant):
     """Wrap a weight constant: its value, or an InputError naming it when the value
     is inf or NaN.  A finite value is kept on the space, keyed on the name and the
-    validated inputs, so each constant is computed once per space and inputs."""
+    validated inputs, so each constant is computed once per space and inputs.
+    The wrapper's ``bind`` gives a call's validated inputs and its key."""
     signature = inspect.signature(constant)
+
+    def bind(*args, **kwargs):
+        inputs = signature.bind(*args, **kwargs).arguments
+        # the weights are validated here, for the key and for the body
+        inputs.update({k: as_weight(inputs["space"], inputs[k]) for k in ("w", "sigma") if k in inputs})
+        return inputs, _memo_key(constant.__name__, inputs)
 
     @functools.wraps(constant)
     def checked(*args, **kwargs):
-        inputs, key = _bind(signature, constant.__name__, args, kwargs)
+        inputs, key = bind(*args, **kwargs)
         space = inputs["space"]
         if key not in space._memo:
             value = constant(**inputs)
@@ -61,16 +68,8 @@ def _finite(constant):
             space._memo[key] = value
         return space._memo[key]
 
+    checked.bind = bind
     return checked
-
-
-def _bind(signature, name, args, kwargs):
-    """The inputs of a call of constant ``name``, its weights validated, and its memo key."""
-    inputs = signature.bind(*args, **kwargs).arguments
-    space = inputs["space"]
-    # the weights are validated here, for the key and for the body
-    inputs.update({k: as_weight(space, inputs[k]) for k in ("w", "sigma") if k in inputs})
-    return inputs, _memo_key(name, inputs)
 
 
 def _memo_key(name, inputs):
@@ -119,30 +118,26 @@ def ainfty_exp(space: QuasiMetricSpace, w) -> float:
     return float(np.max(tbl.averages(w) * np.exp(-tbl.averages(np.log(w)))))
 
 
-_PLANS = {}  # name -> (signature, plan) of each constant read off Luxemburg norms
-
-
 def _from_norms(plan):
-    """The weight constant of ``plan``: on the constant's inputs, the plan gives
-    the fields whose Luxemburg norms under ``phi`` the constant reads, and the
-    constant as a function of those norms.  A call is ``solve_orlicz_constants``
-    with its one request."""
-    _PLANS[plan.__name__] = inspect.signature(plan), plan
-    return _finite(functools.wraps(plan)(lambda space, **inputs: solve_orlicz_constants(
-        space, [(plan.__name__, *inputs.values())])[0]))
+    """The weight constant read off Luxemburg norms: on its inputs, ``plan``
+    gives the fields whose norms under ``phi`` it reads and the constant as a
+    function of those norms.  A call solves its one request."""
+    constant = _finite(functools.wraps(plan)(
+        lambda space, **inputs: solve_orlicz_constants(space, [(constant, *inputs.values())])[0]))
+    constant.plan = plan
+    return constant
 
 
 def solve_orlicz_constants(space: QuasiMetricSpace, requests) -> list:
-    """The ``bump_ap`` and ``wp_constant`` of each request, (name, *the call's
-    arguments after the space), from one Luxemburg solve in which the requests on
-    the same fields share one job.  Each finite value is kept on the space under
-    the key of its own call, which then reads it; a value that is not finite is
-    not kept, so its own call still raises."""
+    """The values of ``requests``, each (``bump_ap`` or ``wp_constant``, *the
+    call's arguments after the space), from one Luxemburg solve in which the
+    requests on equal fields share one job.  Each finite value is kept on the
+    space under the key of its own call, which then reads it; a value that is
+    not finite is not kept, so its own call still raises."""
     jobs, reads = {}, []
-    for name, *args in requests:
-        signature, plan = _PLANS[name]
-        inputs, key = _bind(signature, name, (space, *args), {})
-        fields, value = plan(**inputs)
+    for constant, *args in requests:
+        inputs, key = constant.bind(space, *args)
+        fields, value = constant.plan(**inputs)
         job = fields.shape, fields.tobytes()
         jobs.setdefault(job, (fields, {}))[1][inputs["phi"]] = None  # its phis in order, each once
         reads.append((key, job, inputs["phi"], value))

@@ -52,9 +52,9 @@ def midpoint_past_unseen_end(monkeypatch):
 
 
 def loop_wide_stop(monkeypatch):
-    stop = "np.maximum.reduceat(width, starts) <= REL_TOL"
+    stop = "np.maximum.reduceat(width, np.cumsum(sizes) - sizes) <= REL_TOL"
     monkeypatch.setattr(orlicz, "_illinois",
-                        mutated(orlicz._illinois, stop, "np.full(len(starts), width.max() <= REL_TOL)"))
+                        mutated(orlicz._illinois, stop, "np.full(len(sizes), width.max() <= REL_TOL)"))
 
 
 def scaled(constant):

@@ -405,9 +405,9 @@ def test_power_batches_keep_their_bits_in_one_illinois_loop():
     # distinct pairs: a loop takes the Power batches of one chunk.
     loops, illinois = [], orlicz._illinois
 
-    def counted(func, xlo, xhi, starts, *rest):
-        loops.append(len(starts))
-        return illinois(func, xlo, xhi, starts, *rest)
+    def counted(func, xlo, xhi, sizes, *rest):
+        loops.append(len(sizes))
+        return illinois(func, xlo, xhi, sizes, *rest)
 
     # Power(1.2)'s conjugate exponent 1.2/0.2 rounds to 6.000000000000001
     phis = [Power(2.0), Power(1.2).conjugate(), Power(1.5), PowerLog(2.0, 1.0)]

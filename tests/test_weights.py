@@ -378,19 +378,19 @@ def test_batched_constants_are_their_single_calls():
         w, sigma = (10.0 ** rng.uniform(-1, 1, sp.n) for _ in range(2))
         requests = [request for p in (1.2, 2.0, 3.0)
                     for phi in (Power(p / (p - 1.0)), Power(4.0), PowerLog(2.0, 1.0).conjugate())
-                    for request in (("bump_ap", w, sigma, p, phi), ("wp_constant", sigma, p, phi))]
+                    for request in ((bump_ap, w, sigma, p, phi), (wp_constant, sigma, p, phi))]
         values = solve_orlicz_constants(sp, requests)
         kept = len(sp._memo)
-        for (name, *args), value in zip(requests, values):
-            single = MEMOISED[name](QuasiMetricSpace(sp.dist, sp.mass), w, *args[-3:])
-            assert value == single == MEMOISED[name](sp, w, *args[-3:]), (trial, name, args[-2:])
+        for (constant, *args), value in zip(requests, values):
+            single = constant(QuasiMetricSpace(sp.dist, sp.mass), *args)
+            assert value == single == constant(sp, *args), (trial, constant.__name__, args[-2:])
         assert kept == len(sp._memo) == len(requests)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow warns
 def test_batched_constants_keep_finite_values_only(line4):
-    values = solve_orlicz_constants(line4, [("bump_ap", BIG4, BIG4, 2.0, Power(2.0)),
-                                            ("bump_ap", ONES4, ONES4, 2.0, Power(2.0))])
+    values = solve_orlicz_constants(line4, [(bump_ap, BIG4, BIG4, 2.0, Power(2.0)),
+                                            (bump_ap, ONES4, ONES4, 2.0, Power(2.0))])
     assert values[0] == math.inf and values[1] == pytest.approx(1.0, rel=1e-9)
     assert list(line4._memo.values()) == values[1:]
     with pytest.raises(InputError, match=r"^bump_ap is inf, not a finite number$"):

@@ -367,10 +367,10 @@ def _norms_core(member, weighted, mu, mass, jobs):
                                  for part in (fa, wa, mua, xlo, xhi))
 
         def constraint(x, f, w, mu_b, kind):
-            cuts, t = kind.searchsorted(runs), f / np.exp(x)[:, None]
+            cuts, t, total = kind.searchsorted(runs), f / np.exp(x)[:, None], np.empty(len(f))
             for phi, lo, hi in zip(powers, cuts, cuts[1:]):  # the batches of one phi are adjacent
-                np.multiply(phi(t[lo:hi]), w[lo:hi], out=t[lo:hi])  # each phi with its scalar exponent
-            return np.log(t.sum(axis=1) / mu_b)
+                total[lo:hi] = (phi(t[lo:hi]) * w[lo:hi]).sum(axis=1)  # each phi with its scalar exponent
+            return np.log(total / mu_b)
 
         root = _illinois(constraint, xlo, xhi, sizes, f"Luxemburg norm under {' or '.join(map(repr, powers))}",
                          fa, wa, mua, np.repeat(kinds, sizes))

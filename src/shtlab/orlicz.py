@@ -462,7 +462,12 @@ def _illinois(func, xlo, xhi, sizes, what, *data):
         np.copyto(fb, ft, where=below)
 
 
-def luxemburg_norm(space: QuasiMetricSpace, f, ball: Ball, phi: YoungFunction) -> float:
+def luxemburg_norm(
+    space: QuasiMetricSpace,
+    f,
+    ball: Ball,
+    phi: YoungFunction,
+) -> float:
     """Local Luxemburg norm of a nonnegative function over one ball."""
     f = as_field(space, f)
     member = ball_mask(space, ball)[None, :]

@@ -151,7 +151,13 @@ def solve_orlicz_constants(space: QuasiMetricSpace, requests) -> list:
 
 
 @_from_norms
-def bump_ap(space: QuasiMetricSpace, w, sigma, p: float, phi: YoungFunction) -> float:
+def bump_ap(
+    space: QuasiMetricSpace,
+    w,
+    sigma,
+    p: float,
+    phi: YoungFunction,
+) -> float:
     """Orlicz-bump constant: sup_B (avg_B w) * ||sigma**(1/p')||_{Phi,B}**p."""
     pc = p_conjugate(p)
     tbl = ball_table(space)

@@ -10,8 +10,6 @@ from .space import (
     SpaceProfile,
     build_space,
     space_profile,
-    ball_members,
-    dilate_ball,
     check_engulfing,
     check_dilation_bounds,
 )
@@ -20,10 +18,9 @@ from .orlicz import (
     PowerLog,
     NumericConjugate,
     p_conjugate,
-    luxemburg_norm,
     alpha_p,
 )
-from .maximal import hl_maximal, restricted_maximal, orlicz_maximal
+from .maximal import hl_maximal, orlicz_maximal
 from .weights import (
     ap_constant,
     two_weight_ap,

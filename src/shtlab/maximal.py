@@ -1,8 +1,9 @@
 """Exact maximal operators by enumeration over canonical balls.
 
-The uncentered Hardy-Littlewood maximal function, its restriction to a ball's
-indicator, and the Orlicz variant all reduce to finite maxima because the
-canonical family realizes every achievable ball average (see ``space``).
+The uncentered Hardy-Littlewood maximal function, its restrictions to the
+indicator of every canonical ball at once, and the Orlicz variant all reduce
+to finite maxima because the canonical family realizes every achievable ball
+average (see ``space``).
 Inputs are required nonnegative; callers pass absolute values explicitly.
 ``hl_maximal`` and ``orlicz_maximal`` take one field or a (..., n) stack of
 fields, and return one maximal function per field.
@@ -12,11 +13,10 @@ from __future__ import annotations
 import numpy as np
 
 from .orlicz import YoungFunction, luxemburg_norms_over_balls
-from .space import Ball, QuasiMetricSpace, as_field, as_fields, ball_mask, ball_table
+from .space import QuasiMetricSpace, as_field, as_fields, ball_table
 
 __all__ = [
     "hl_maximal",
-    "restricted_maximal",
     "restricted_maximal_table",
     "orlicz_maximal",
 ]
@@ -29,17 +29,12 @@ def hl_maximal(space: QuasiMetricSpace, f) -> np.ndarray:
     return tbl.point_max(tbl.averages(f))
 
 
-def restricted_maximal(space: QuasiMetricSpace, f, ball: Ball) -> np.ndarray:
-    """M(f * indicator of the ball), evaluated on the whole space."""
-    f = as_field(space, f)
-    return hl_maximal(space, f * ball_mask(space, ball))
-
-
 def restricted_maximal_table(space: QuasiMetricSpace, f) -> np.ndarray:
     """Rows: M(f * chi_B)(y) for every canonical ball B, shape (m, n).
 
-    Batched form of ``restricted_maximal`` over the whole canonical family;
-    avg[b', b] = average of f*chi_b over b' comes from one matrix product.
+    Row b is M(f * chi_b), the maximal function of f restricted to ball b,
+    evaluated on the whole space; avg[b', b] = average of f*chi_b over b'
+    comes from one matrix product.
     """
     f = as_field(space, f)
     tbl = ball_table(space)

@@ -44,9 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .space import (
-    Ball, QuasiMetricSpace, as_field, as_fields, ball_mask, ball_table, rows_per_chunk,
-)
+from .space import QuasiMetricSpace, as_fields, ball_table, rows_per_chunk
 
 __all__ = [
     "YoungFunction",
@@ -54,7 +52,6 @@ __all__ = [
     "PowerLog",
     "NumericConjugate",
     "p_conjugate",
-    "luxemburg_norm",
     "luxemburg_norms_over_balls",
     "alpha_p",
 ]
@@ -339,7 +336,8 @@ def _norms_core(member, weighted, mu, mass, jobs):
     w) = 0, t = f e^{-x}, g' = sum Phi'(t) t w / sum Phi(t) w, from the midpoint
     of its own bracket, with Phi and Phi' from one ``phi.warm`` evaluation that
     carries the conjugate's log argmax per entry to the next; it has the bits
-    of the single-ball ``luxemburg_norm`` of its pair.
+    of the pair solved alone.  Each phi's Phi^{-1}(1), the upper bracket end,
+    is solved once per call.
     """
     outs = [[np.zeros((len(fmat), len(member))) for _ in phis] for fmat, phis in jobs]
     # the module docstring's bracket; a Python float division overflows to inf without a warning
@@ -350,6 +348,7 @@ def _norms_core(member, weighted, mu, mass, jobs):
             f"so no Luxemburg norm can be bracketed"
         )
     pending = {}  # the Power batches waiting for an Illinois loop, by phi
+    inv_one = {phi: phi.inverse(1.0) for _, phis in jobs for phi in phis}
 
     def gap(x, f, w, mu_b, state, phi):
         t = f / np.exp(x)[:, None]
@@ -399,7 +398,7 @@ def _norms_core(member, weighted, mu, mass, jobs):
             mua = mu[ub]             # (nu,)
             maxf = mx[uk, ub]
             for phi, out in zip(phis, job_outs):
-                xhi = np.log(maxf / phi.inverse(1.0))
+                xhi = np.log(maxf / inv_one[phi])
                 # Power keeps _illinois while the benchmark pins its roots' residuals (ROADMAP item 1)
                 if isinstance(phi, Power):
                     pending.setdefault(phi, []).append(
@@ -460,21 +459,6 @@ def _illinois(func, xlo, xhi, sizes, what, *data):
         np.copyto(fa, ft, where=above)
         np.copyto(xhi, xt, where=below)
         np.copyto(fb, ft, where=below)
-
-
-def luxemburg_norm(
-    space: QuasiMetricSpace,
-    f,
-    ball: Ball,
-    phi: YoungFunction,
-) -> float:
-    """Local Luxemburg norm of a nonnegative function over one ball."""
-    f = as_field(space, f)
-    member = ball_mask(space, ball)[None, :]
-    weighted = member * space.mass[None, :]
-    mu = weighted.sum(axis=1)
-    norms = _norms_core(member, weighted, mu, space.mass, [(f[None, :], [phi])])[0][0]
-    return float(norms[0, 0])
 
 
 def luxemburg_norms_over_balls(space: QuasiMetricSpace, fmat, phi: YoungFunction) -> np.ndarray:

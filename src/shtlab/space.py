@@ -40,9 +40,6 @@ __all__ = [
     "build_space",
     "space_profile",
     "ball_table",
-    "ball_members",
-    "ball_mask",
-    "dilate_ball",
     "check_engulfing",
     "check_dilation_bounds",
 ]
@@ -72,7 +69,8 @@ def _is_integer(value) -> bool:
 
 @dataclass(frozen=True)
 class Ball:
-    """Open ball: center index plus numeric radius (> 0)."""
+    """Open ball: center index plus numeric radius (> 0), the report form of a
+    ``BallTable`` row (``BallTable.ball``)."""
 
     center: int
     radius: float
@@ -303,19 +301,6 @@ def space_profile(space: QuasiMetricSpace) -> SpaceProfile:
     return space._profile
 
 
-def ball_mask(space: QuasiMetricSpace, ball: Ball) -> np.ndarray:
-    if not 0 <= ball.center < space.n:
-        raise InputError(f"ball center {ball.center} out of range for {space.n} points")
-    if ball.radius <= 0:
-        raise InputError(f"ball radius must be positive, got {ball.radius}")
-    return space.dist[ball.center] < ball.radius
-
-
-def ball_members(space: QuasiMetricSpace, ball: Ball) -> np.ndarray:
-    """Sorted indices of the open ball; always contains the center."""
-    return np.nonzero(ball_mask(space, ball))[0]
-
-
 class BallTable:
     """Dense view of the canonical ball family for vectorized sweeps.
 
@@ -393,13 +378,6 @@ def ball_table(space: QuasiMetricSpace) -> BallTable:
     if space._table is None:
         space._table = BallTable(space)
     return space._table
-
-
-def dilate_ball(ball: Ball, lam: float) -> Ball:
-    """Same center, radius scaled by lam >= 1."""
-    if lam < 1:
-        raise InputError(f"dilation factor must be >= 1, got {lam}")
-    return Ball(center=ball.center, radius=ball.radius * lam)
 
 
 def check_engulfing(space: QuasiMetricSpace, profile: SpaceProfile) -> list[tuple[Ball, Ball]]:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_cloud
+from conftest import open_ball, random_cloud
 from shtlab.czdecomp import (
     CZDecomposition,
     LevelEntry,
@@ -19,11 +19,8 @@ from shtlab.space import (
     Ball,
     QuasiMetricSpace,
     SpaceProfile,
-    ball_mask,
-    ball_members,
     ball_table,
     build_space,
-    dilate_ball,
     space_profile,
 )
 from shtlab.specio import parse_space, parse_weight
@@ -67,12 +64,18 @@ def test_level_base_monotone():
 # ------------------------------------------------------------ single level
 
 
+def oracle_members(space, r):
+    """Members of the ball of table row r, through the open-ball oracle."""
+    ball = ball_table(space).ball(r)
+    return list(np.flatnonzero(open_ball(space, ball.center, ball.radius)))
+
+
 def test_line4_spike_decomposition(line4):
     f = np.array([8.0, 0.0, 0.0, 0.0])
     dec = cz_decompose(line4, f, 4.0)
     assert list(dec.omega) == [0]
     assert len(dec.selected) == 1
-    assert list(ball_members(line4, ball_table(line4).ball(dec.selected[0]))) == [0]
+    assert oracle_members(line4, dec.selected[0]) == [0]
     report = verify_cz_properties(line4, dec, f)
     assert report["violations"] == []
 
@@ -167,7 +170,7 @@ def test_coverage_sandwich_measure_bound():
         mu_omega = sp.mass[dec.omega].sum()
         balls = [ball_table(sp).ball(r) for r in dec.selected]
         dil = sum(sp.mass[sp.dist[b.center] < prof.theta * b.radius].sum() for b in balls)
-        plain = sum(sp.mass[ball_mask(sp, b)].sum() for b in balls)
+        plain = sum(sp.mass[open_ball(sp, b.center, b.radius)].sum() for b in balls)
         assert mu_omega <= dil * (1 + 1e-12)
         assert dil <= (2 * prof.theta) ** prof.d_mu * plain * (1 + 1e-12)
 
@@ -251,7 +254,7 @@ def loop_oracle(space, dec, f):
     omega_mask = np.zeros(space.n, dtype=bool)
     omega_mask[dec.omega] = True
     selected = [tbl.ball(r) for r in dec.selected]
-    masks = [ball_mask(space, b) for b in selected]
+    masks = [open_ball(space, b.center, b.radius) for b in selected]
     violations = []
     for i in range(len(masks)):
         for j in range(i + 1, len(masks)):
@@ -261,7 +264,7 @@ def loop_oracle(space, dec, f):
     for ball, mask in zip(selected, masks):
         for y in np.nonzero(mask & ~omega_mask)[0]:
             violations.append({"kind": "selected_outside_omega", "ball": ball, "point": int(y)})
-        covered |= ball_mask(space, dilate_ball(ball, prof.theta))
+        covered |= open_ball(space, ball.center, ball.radius * prof.theta)
     for x in dec.omega[~covered[dec.omega]]:
         violations.append({"kind": "uncovered_point", "point": int(x)})
     fm = f * space.mass
@@ -272,8 +275,8 @@ def loop_oracle(space, dec, f):
     undilated = 0
     for ball, mask in zip(selected, masks):
         for r in range(tbl.m):
-            outer = ball_mask(space, dilate_ball(tbl.ball(r), prof.eta))
-            inner = ball_mask(space, tbl.ball(r))
+            outer = open_ball(space, tbl.centers[r], tbl.radii[r] * prof.eta)
+            inner = open_ball(space, tbl.centers[r], tbl.radii[r])
             if (mask & ~inner).any() or tbl.radii[r] < prof.eta * ball.radius:
                 continue
             avg_out = float(fm[outer].sum() / space.mass[outer].sum())
@@ -317,7 +320,7 @@ def test_line4_multilevel_with_small_base(line4):
     entry = fam.entries[0]
     assert entry.level == 4.0
     assert list(entry.omega) == [0]
-    assert [list(ball_members(line4, ball_table(line4).ball(r))) for r in entry.balls] == [[0]]
+    assert [oracle_members(line4, r) for r in entry.balls] == [[0]]
     assert [list(e) for e in entry.pruned] == [[0]]
     assert verify_disjointing(line4, fam)["violations"] == []
 
@@ -427,4 +430,4 @@ def test_multilevel_respects_omega_nesting():
         omega = set(int(x) for x in entry.omega)
         assert omega == {x for x in range(sp.n) if mf[x] > entry.level}
         for r in entry.balls:
-            assert set(int(y) for y in ball_members(sp, ball_table(sp).ball(r))) <= omega
+            assert set(int(y) for y in oracle_members(sp, r)) <= omega

@@ -9,8 +9,7 @@ import pytest
 from shtlab.czdecomp import cz_decompose
 from shtlab.errors import InputError
 from shtlab.maximal import hl_maximal, orlicz_maximal, restricted_maximal_table
-from shtlab.orlicz import Power, luxemburg_norm, luxemburg_norms_over_balls
-from shtlab.space import Ball
+from shtlab.orlicz import Power, luxemburg_norms_over_balls
 from shtlab.specio import parse_weight
 from shtlab.weights import (
     ainfty_exp,
@@ -37,7 +36,6 @@ ENTRY_POINTS = {
     "hl_maximal": lambda sp, v: hl_maximal(sp, v),
     "restricted_maximal_table": lambda sp, v: restricted_maximal_table(sp, v),
     "orlicz_maximal": lambda sp, v: orlicz_maximal(sp, v, Power(2.0)),
-    "luxemburg_norm": lambda sp, v: luxemburg_norm(sp, v, Ball(0, 2.0), Power(2.0)),
     "luxemburg_norms_over_balls": lambda sp, v: luxemburg_norms_over_balls(sp, v, Power(2.0)),
     "cz_decompose": lambda sp, v: cz_decompose(sp, v, 10.0),
     "parse_weight": lambda sp, v: parse_weight(v, sp),

@@ -2,16 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_cloud, table_balls, whole_ball
+from conftest import open_ball, random_cloud, restricted_hl, table_balls, whole_ball
 from shtlab.errors import InputError
 from shtlab.maximal import (
     hl_maximal,
     orlicz_maximal,
-    restricted_maximal,
     restricted_maximal_table,
 )
 from shtlab.orlicz import Power
-from shtlab.space import Ball, ball_mask, ball_table
+from shtlab.space import Ball, ball_table
 
 
 def oracle_maximal(space, f):
@@ -61,22 +60,22 @@ def test_negative_field_rejected(line4):
 
 def test_restricted_whole_ball_is_plain(line4):
     f = np.array([1.0, 3.0, 0.0, 2.0])
-    whole = whole_ball(line4)
-    assert np.array_equal(restricted_maximal(line4, f, whole), hl_maximal(line4, f))
+    whole = table_balls(line4).index(whole_ball(line4))
+    assert np.array_equal(restricted_maximal_table(line4, f)[whole], hl_maximal(line4, f))
 
 
 def test_restricted_examples(line4):
-    got = restricted_maximal(line4, np.array([4.0, 4.0, 0.0, 0.0]), Ball(0, 2.0))
+    rows = table_balls(line4)
+    got = restricted_maximal_table(line4, np.array([4.0, 4.0, 0.0, 0.0]))[rows.index(Ball(0, 2.0))]
     assert got[2] == pytest.approx(8.0 / 3.0)
-    got = restricted_maximal(line4, np.ones(4), Ball(0, 1.0))
+    got = restricted_maximal_table(line4, np.ones(4))[rows.index(Ball(0, 1.0))]
     assert np.allclose(got, [1.0, 0.5, 1.0 / 3.0, 0.25])
 
 
 def test_restricted_dominated_by_plain(line4):
     rng = np.random.default_rng(9)
     f = rng.uniform(0, 3, 4)
-    for ball in table_balls(line4):
-        assert np.all(restricted_maximal(line4, f, ball) <= hl_maximal(line4, f) + 1e-15)
+    assert np.all(restricted_maximal_table(line4, f) <= hl_maximal(line4, f) + 1e-15)
 
 
 def test_restricted_table_matches_per_ball():
@@ -86,7 +85,7 @@ def test_restricted_table_matches_per_ball():
     tbl = ball_table(sp)
     table = restricted_maximal_table(sp, f)
     for i, ball in enumerate(table_balls(sp)):
-        assert np.allclose(table[i], restricted_maximal(sp, f, ball), rtol=1e-12)
+        assert np.allclose(table[i], restricted_hl(sp, f, ball), rtol=1e-12)
 
 
 # ------------------------------------------------------------- properties
@@ -113,7 +112,8 @@ def test_pointwise_lower_bounds(line4):
     # ... and in every case Mf(x) >= the average over the smallest canonical ball
     tbl = ball_table(line4)
     for x in range(4):
-        mask = ball_mask(line4, tbl.ball(int(np.argmax(tbl.centers == x))))
+        ball = tbl.ball(int(np.argmax(tbl.centers == x)))
+        mask = open_ball(line4, ball.center, ball.radius)
         small_avg = (f * line4.mass)[mask].sum() / line4.mass[mask].sum()
         assert mf[x] >= small_avg - 1e-15
 

@@ -7,19 +7,16 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import random_cloud, table_balls
+from conftest import open_ball, random_cloud, table_balls
 from shtlab.errors import InputError
 from shtlab.space import (
     Ball,
     QuasiMetricSpace,
     SpaceProfile,
-    ball_mask,
-    ball_members,
     ball_table,
     build_space,
     check_dilation_bounds,
     check_engulfing,
-    dilate_ball,
     space_profile,
 )
 from shtlab.suite import default_manifest
@@ -233,18 +230,15 @@ def test_snowflaked_line_has_kappa_above_one():
 # ---------------------------------------------------------------- balls
 
 
+def row_members(space, ball, lam=1.0):
+    """Members of the table row of ``ball``, dilated by ``lam``."""
+    return list(np.flatnonzero(ball_table(space).dilated(lam)[table_balls(space).index(ball)]))
+
+
 def test_ball_members_examples(line4):
-    assert list(ball_members(line4, Ball(1, 2.0))) == [0, 1, 2]
-    assert list(ball_members(line4, Ball(0, 1.0))) == [0]
-    assert list(ball_members(line4, Ball(0, 5.0))) == [0, 1, 2, 3]
-    for center in (-1, 4):
-        with pytest.raises(InputError, match=f"center {center}"):
-            ball_members(line4, Ball(center, 1.0))
-
-
-def test_ball_requires_positive_radius(line4):
-    with pytest.raises(InputError, match="radius"):
-        ball_members(line4, Ball(0, 0.0))
+    assert row_members(line4, Ball(1, 2.0)) == [0, 1, 2]
+    assert row_members(line4, Ball(0, 1.0)) == [0]
+    assert list(np.flatnonzero(open_ball(line4, 0, 5.0))) == [0, 1, 2, 3]
 
 
 def test_enumerate_balls_counts(line4, two_point, one_point):
@@ -254,7 +248,7 @@ def test_enumerate_balls_counts(line4, two_point, one_point):
     assert table_balls(one_point) == [Ball(0, 1.0)]
     balls2 = table_balls(two_point)
     assert len(balls2) == 4
-    sets = [tuple(ball_members(two_point, b)) for b in balls2]
+    sets = [tuple(np.flatnonzero(open_ball(two_point, b.center, b.radius))) for b in balls2]
     assert sets == [(0,), (0, 1), (1,), (0, 1)]
 
 
@@ -280,10 +274,8 @@ def test_enumeration_covers_all_member_sets():
 
 
 def test_dilate_ball(line4):
-    assert dilate_ball(Ball(1, 2.0), 1.0) == Ball(1, 2.0)
-    assert list(ball_members(line4, dilate_ball(Ball(0, 1.0), 5.0))) == [0, 1, 2, 3]
-    with pytest.raises(InputError):
-        dilate_ball(Ball(0, 1.0), 0.5)
+    assert row_members(line4, Ball(1, 2.0), 1.0) == [0, 1, 2]
+    assert row_members(line4, Ball(0, 1.0), 5.0) == [0, 1, 2, 3]
 
 
 def masked_point_max(tbl, per_ball):
@@ -359,10 +351,10 @@ def test_engulfing_violations_match_brute_force(line4):
     balls = table_balls(line4)
     expected = []
     for b2 in balls:
-        target = ball_mask(line4, dilate_ball(b2, prof.engulf))
+        target = open_ball(line4, b2.center, b2.radius * prof.engulf)
         for b1 in balls:
-            m1 = ball_mask(line4, b1)
-            meets = (m1 & ball_mask(line4, b2)).any()
+            m1 = open_ball(line4, b1.center, b1.radius)
+            meets = (m1 & open_ball(line4, b2.center, b2.radius)).any()
             if meets and b1.radius <= b2.radius and (m1 & ~target).any():
                 expected.append((b1, b2))
     got = check_engulfing(line4, prof)

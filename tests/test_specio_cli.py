@@ -11,14 +11,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import shtlab
-from conftest import random_cloud
+from conftest import open_ball, random_cloud
 from shtlab import cli
 from shtlab.cli import main
 from shtlab.czdecomp import cz_decompose, multi_level_decompose
 from shtlab.errors import InputError
 from shtlab.maximal import hl_maximal
 from shtlab.orlicz import Power, PowerLog
-from shtlab.space import Ball, ball_members, ball_table, build_space
+from shtlab.space import Ball, ball_table, build_space
 from shtlab.specio import parse_phi, parse_space, parse_weight
 
 
@@ -285,15 +285,15 @@ def test_cz_command_multilevel(files, capsys):
 
 
 def open_ball_json(space, rows):
-    """Report balls of table rows, with members through ball_mask rather than the table."""
+    """Report balls of table rows, with members through the open-ball oracle rather than the table."""
     balls = [ball_table(space).ball(r) for r in rows]
-    return [{"center": b.center, "radius": b.radius, "members": ball_members(space, b).tolist()}
-            for b in balls]
+    return [{"center": b.center, "radius": b.radius,
+             "members": np.flatnonzero(open_ball(space, b.center, b.radius)).tolist()} for b in balls]
 
 
 def test_cz_report_balls_match_open_ball_members(tmp_path, capsys):
     # a decomposition holds ball-table rows; each reported ball is its row's
-    # (center, radius), with the members that ball_mask gives for that ball
+    # (center, radius), with the members of the open ball of that center and radius
     rng = np.random.default_rng(7)
     levels = 0
     for trial in range(8):

@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_cloud, table_balls
+from conftest import open_ball, random_cloud, restricted_hl, table_balls
 from shtlab.errors import InputError
-from shtlab.maximal import orlicz_maximal, restricted_maximal
+from shtlab.maximal import orlicz_maximal
 from shtlab.orlicz import Power, PowerLog
-from shtlab.space import QuasiMetricSpace, ball_mask, ball_table, dilate_ball
+from shtlab.space import QuasiMetricSpace, ball_table
 from shtlab.weights import (
     ainfty_exp,
     ainfty_fujii_wilson,
@@ -31,7 +31,7 @@ ATOM4 = np.array([1.0, 1.0, 1.0, 9.0])
 def oracle_two_weight(space, w, sigma, p):
     best = 0.0
     for b in table_balls(space):
-        m = ball_mask(space, b)
+        m = open_ball(space, b.center, b.radius)
         mu = space.mass[m].sum()
         best = max(
             best,
@@ -43,11 +43,11 @@ def oracle_two_weight(space, w, sigma, p):
 def oracle_fujii_wilson(space, w):
     best = 0.0
     for b in table_balls(space):
-        m = ball_mask(space, b)
+        m = open_ball(space, b.center, b.radius)
         wb = (w * space.mass)[m].sum()
         if wb == 0:
             continue
-        r = restricted_maximal(space, w, b)
+        r = restricted_hl(space, w, b)
         best = max(best, (r * space.mass)[m].sum() / wb)
     return best
 
@@ -55,11 +55,11 @@ def oracle_fujii_wilson(space, w):
 def oracle_sawyer(space, w, sigma, p):
     best = 0.0
     for b in table_balls(space):
-        m = ball_mask(space, b)
+        m = open_ball(space, b.center, b.radius)
         sb = (sigma * space.mass)[m].sum()
         if sb == 0:
             continue
-        r = restricted_maximal(space, sigma, b)
+        r = restricted_hl(space, sigma, b)
         best = max(best, ((r**p * w * space.mass)[m].sum() / sb) ** (1.0 / p))
     return best
 
@@ -70,7 +70,7 @@ def oracle_bump_power(space, w, sigma, p, q):
     best = 0.0
     g = sigma ** (1.0 / pc)
     for b in table_balls(space):
-        m = ball_mask(space, b)
+        m = open_ball(space, b.center, b.radius)
         mu = space.mass[m].sum()
         norm = ((g[m] ** q * space.mass[m]).sum() / mu) ** (1.0 / q)
         best = max(best, (w * space.mass)[m].sum() / mu * norm**p)
@@ -248,13 +248,14 @@ def test_point_max_rows_match_single_rows():
 
 
 def test_dilated_matches_ball_mask():
+    """Each dilate of the table is the open-ball oracle at the dilated radius."""
     rng = np.random.default_rng(47)
     sp = random_cloud(rng, 6, dim=2)
     tbl = ball_table(sp)
     for lam in (1.0, 1.5, 2.0, 7.25):
         dil = tbl.dilated(lam)
         for b, ball in enumerate(table_balls(sp)):
-            assert np.array_equal(dil[b], ball_mask(sp, dilate_ball(ball, lam)))
+            assert np.array_equal(dil[b], open_ball(sp, ball.center, lam * ball.radius))
     assert np.array_equal(tbl.dilated(1.0), tbl.member)
 
 

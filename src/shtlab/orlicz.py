@@ -30,7 +30,9 @@ smallest mass, it is bracketed by
 Power-log roots are Newton solves in log(lam), each from its own bracket, in
 the module's one safeguarded Newton loop (``_newton``); a ``Power`` root comes
 from Illinois-damped false position (``_illinois``) and depends on its own
-batch of distinct pairs, never on what else shares the loop.
+batch of distinct pairs, never on what else shares the loop.  Its constraint
+evaluates Phi on the support of f only; off it the dense form holds exact
+zeros, and the same numpy row sum keeps the bits (``_power_sums``).
 
 Root-finding tolerances are the module constants below; each checker's
 headroom sits in the check it serves (see the README).
@@ -332,12 +334,13 @@ def _norms_core(member, weighted, mu, mass, jobs):
     the distinct pairs of one (stack, chunk) under one phi, and on nothing else:
     ``_illinois`` steps it from the bracket of its largest mu(B) until its own
     widest bracket is within REL_TOL, in one loop with the batches waiting with
-    it.  Any other root is a ``_newton`` solve of g(x) = log(mu(B) / sum Phi(t)
-    w) = 0, t = f e^{-x}, g' = sum Phi'(t) t w / sum Phi(t) w, from the midpoint
-    of its own bracket, with Phi and Phi' from one ``phi.warm`` evaluation that
-    carries the conjugate's log argmax per entry to the next; it has the bits
-    of the pair solved alone.  Each phi's Phi^{-1}(1), the upper bracket end,
-    is solved once per call.
+    it, evaluating Phi on the support of f only, with the dense bits
+    (``_power_sums``).  Any other root is a ``_newton`` solve of g(x) =
+    log(mu(B) / sum Phi(t) w) = 0, t = f e^{-x}, g' = sum Phi'(t) t w / sum
+    Phi(t) w, from its bracket's midpoint, with Phi and Phi' from one
+    ``phi.warm`` evaluation that carries the conjugate's log argmax per entry to
+    the next: the bits of the pair solved alone.  Phi^{-1}(1), the upper end,
+    is one more element of each chunk's bracket inversion (Power: closed form).
     """
     outs = [[np.zeros((len(fmat), len(member))) for _ in phis] for fmat, phis in jobs]
     # the module docstring's bracket; a Python float division overflows to inf without a warning
@@ -348,7 +351,6 @@ def _norms_core(member, weighted, mu, mass, jobs):
             f"so no Luxemburg norm can be bracketed"
         )
     pending = {}  # the Power batches waiting for an Illinois loop, by phi
-    inv_one = {phi: phi.inverse(1.0) for _, phis in jobs for phi in phis}
 
     def gap(x, f, w, mu_b, state, phi):
         t = f / np.exp(x)[:, None]
@@ -365,11 +367,9 @@ def _norms_core(member, weighted, mu, mass, jobs):
         fa, wa, mua, xlo, xhi = (part[0] if len(part) == 1 else np.concatenate(part)
                                  for part in (fa, wa, mua, xlo, xhi))
 
-        def constraint(x, f, w, mu_b, kind):
-            cuts, t, total = kind.searchsorted(runs), f / np.exp(x)[:, None], np.empty(len(f))
-            for phi, lo, hi in zip(powers, cuts, cuts[1:]):  # the batches of one phi are adjacent
-                total[lo:hi] = (phi(t[lo:hi]) * w[lo:hi]).sum(axis=1)  # each phi with its scalar exponent
-            return np.log(total / mu_b)
+        def constraint(f, w, mu_b, kind):  # the batches of one phi are adjacent
+            sums = _power_sums(f, w, powers, kind.searchsorted(runs))
+            return lambda x: np.log(sums(x) / mu_b)
 
         root = _illinois(constraint, xlo, xhi, sizes, f"Luxemburg norm under {' or '.join(map(repr, powers))}",
                          fa, wa, mua, np.repeat(kinds, sizes))
@@ -398,13 +398,13 @@ def _norms_core(member, weighted, mu, mass, jobs):
             mua = mu[ub]             # (nu,)
             maxf = mx[uk, ub]
             for phi, out in zip(phis, job_outs):
-                xhi = np.log(maxf / inv_one[phi])
                 # Power keeps _illinois while the benchmark pins its roots' residuals (ROADMAP item 1)
                 if isinstance(phi, Power):
-                    pending.setdefault(phi, []).append(
-                        (fa, wa, mua, np.log(maxf / phi.inverse(ratio)), xhi, (out, (start + kk, bb), back)))
+                    pending.setdefault(phi, []).append((fa, wa, mua, np.log(maxf / phi.inverse(ratio)),
+                                                        np.log(maxf / phi.inverse(1.0)), (out, (start + kk, bb), back)))
                     continue
-                xlo = np.log(maxf / phi.inverse(mua / mass.min()))
+                inv = phi.inverse(np.append(mua / mass.min(), 1.0))  # and Phi^{-1}(1), the upper end
+                xlo, xhi = np.log(maxf / inv[:-1]), np.log(maxf / inv[-1])
                 root = _newton(functools.partial(gap, phi=phi), 0.5 * (xlo + xhi), xlo, xhi,
                                f"Luxemburg norm under {phi!r}", fa, wa, mua, np.full(fa.shape, np.nan))
                 out[start + kk, bb] = np.exp(root)[back]
@@ -418,47 +418,72 @@ def _norms_core(member, weighted, mu, mass, jobs):
     return outs
 
 
+def _power_sums(f, w, powers, cuts):
+    """x -> sum_y Phi(f[i, y] e^{-x[i]}) w[i, y] for each row i of f (k, n), with
+    Phi = powers[j] on rows cuts[j]:cuts[j + 1], evaluated on the support f != 0.
+
+    Each exponent is applied in place as a scalar (``2.0`` keeps numpy's
+    ``square`` path).  The values fill a (k, n) buffer that is zero off the
+    support, as the dense form is there (0 / e^x, 0 ** s and 0 * w are 0), and
+    the buffer is summed by the same numpy row reduction: every sum has the bits
+    of the dense form, pairwise order included.
+    """
+    on = np.flatnonzero(f)  # row-major, so each phi's rows hold a run of it
+    rows, dense = on // f.shape[1], np.zeros(f.shape)
+    fs, ws, flat, cuts = f.flat[on], w.flat[on], dense.reshape(-1), rows.searchsorted(cuts)
+
+    def sums(x):
+        t = fs / np.exp(x)[rows]
+        for phi, lo, hi in zip(powers, cuts, cuts[1:]):
+            t[lo:hi] **= phi.s
+        t *= ws
+        flat[on] = t
+        return dense.sum(axis=1)
+
+    return sums
+
+
 def _illinois(func, xlo, xhi, sizes, what, *data):
     """Illinois-damped false position for decreasing functions on batches of
-    ``sizes`` elements, concatenated in 1-d arrays: ``func(x, *data)`` gives the
-    values of the active elements, func(xlo) >= 0 >= func(xhi), and ``data``
-    are per-element arrays compacted with them.  A batch steps until its own
-    widest bracket is within REL_TOL, and leaves with its midpoints, or raises
-    NumericalError naming ``what`` after MAX_ITER steps; all else is
-    elementwise, so a root depends on its batch alone.  Converges superlinearly
-    on the near-affine log-log constraint while keeping the bisection bracket
-    guarantee.
+    ``sizes`` elements, concatenated in 1-d arrays: ``func(*data)`` builds the
+    function of x giving the active elements' values, >= 0 at xlo and <= 0 at
+    xhi, and is called again each time batches leave; ``data`` are per-element
+    arrays compacted with them.  A batch steps until its own widest bracket is
+    within REL_TOL, and leaves with its midpoints, or raises NumericalError
+    naming ``what`` after MAX_ITER steps; all else is elementwise, so a root
+    depends on its batch alone.  On the log-log ``Power`` constraint, affine in
+    x, the first false-position point is the root and each later one falls
+    within the margin of an end: the loop bisects, about 43 steps a call.
     """
-    idx, root = np.arange(xlo.size), np.empty(xlo.size)
-    fa, fb = func(xlo, *data), func(xhi, *data)
-    above = below = np.zeros(xlo.shape, dtype=bool)  # the last step's side; none before the first
+    idx, root, at = np.arange(xlo.size), np.empty(xlo.size), func(*data)
+    x, fx = np.array([xlo, xhi]), np.array([at(xlo), at(xhi)])  # rows: the lower and the upper ends
+    (xlo, xhi), (fa, fb), starts = x, fx, np.cumsum(sizes) - sizes
+    side = np.zeros(x.shape, dtype=bool)  # the end each element moved at the last step; none before the first
     for step in range(MAX_ITER + 1):
         width = xhi - xlo
-        done = np.maximum.reduceat(width, np.cumsum(sizes) - sizes) <= REL_TOL
+        done = np.maximum.reduceat(width, starts) <= REL_TOL
         if done.any():
             out = np.repeat(done, sizes)
             root[idx[out]] = 0.5 * (xlo[out] + xhi[out])
             if done.all():
                 return root
-            idx, xlo, xhi, width, fa, fb, above, below, *data = (
-                arr[~out] for arr in (idx, xlo, xhi, width, fa, fb, above, below, *data))
-            sizes = sizes[~done]
+            idx, width, *data = (arr[~out] for arr in (idx, width, *data))
+            x, fx, side, sizes = x[:, ~out], fx[:, ~out], side[:, ~out], sizes[~done]
+            (xlo, xhi), (fa, fb), starts, at = x, fx, np.cumsum(sizes) - sizes, func(*data)
         if step == MAX_ITER:
             raise NumericalError(f"{what}: bracket wider than {REL_TOL:g} after {MAX_ITER} steps")
         with np.errstate(divide="ignore", invalid="ignore"):
             xt = (xlo * fb - xhi * fa) / (fb - fa)
-        margin = 0.01 * width
-        # a point that is NaN, infinite or within the margin of an end is the midpoint
-        np.copyto(xt, 0.5 * (xlo + xhi), where=~((xt > xlo + margin) & (xt < xhi - margin)))
-        ft = func(xt, *data)
-        new = ft > 0.0  # an end kept at this step and the last has its value halved
-        np.copyto(fa, 0.5 * fa, where=below > new)  # below then, and below now
-        np.copyto(fb, 0.5 * fb, where=above & new)
-        above, below = new, ~new
-        np.copyto(xlo, xt, where=above)
-        np.copyto(fa, ft, where=above)
-        np.copyto(xhi, xt, where=below)
-        np.copyto(fb, ft, where=below)
+        width *= 0.01  # the margin: a point that is NaN, infinite or within it of an end is the midpoint
+        xt = np.where((xt > xlo + width) & (xt < xhi - width), xt, 0.5 * (xlo + xhi))
+        ft = at(xt)
+        new = ft > 0.0
+        now = np.array([new, ~new])  # the end each element moves: the lower where ft > 0
+        # an end kept at this step and the last, the other one moving both times, has its value halved
+        np.multiply(fx, 0.5, out=fx, where=(side & now)[::-1])
+        np.copyto(x, xt, where=now)
+        np.copyto(fx, ft, where=now)
+        side = now
 
 
 def luxemburg_norms_over_balls(space: QuasiMetricSpace, fmat, phi: YoungFunction) -> np.ndarray:

@@ -52,9 +52,15 @@ def midpoint_past_unseen_end(monkeypatch):
 
 
 def loop_wide_stop(monkeypatch):
-    stop = "np.maximum.reduceat(width, np.cumsum(sizes) - sizes) <= REL_TOL"
+    stop = "np.maximum.reduceat(width, starts) <= REL_TOL"
     monkeypatch.setattr(orlicz, "_illinois",
                         mutated(orlicz._illinois, stop, "np.full(len(sizes), width.max() <= REL_TOL)"))
+
+
+def sequential_support_sum(monkeypatch):
+    # each row's support summed in order, not by numpy's pairwise row sum
+    sums = mutated(orlicz._power_sums, "dense.sum(axis=1)", "np.bincount(rows, t, len(dense))")
+    monkeypatch.setattr(orlicz, "_power_sums", sums)
 
 
 def scaled(constant):
@@ -140,6 +146,10 @@ ROWS = [
     Row(orlicz._illinois,
         "A batch steps until its own widest bracket is within REL_TOL, and leaves with its midpoints",
         loop_wide_stop, orlicz_tests.test_power_batches_keep_their_bits_in_one_illinois_loop),
+    Row(orlicz._power_sums,
+        "the buffer is summed by the same numpy row reduction: every sum has the bits of "
+        "the dense form, pairwise order included.",
+        sequential_support_sum, orlicz_tests.test_power_sums_on_the_support_have_the_dense_bits),
     Row(weights.ap_constant, "sup_B (avg_B w) * (avg_B w**(-1/(p-1)))**(p-1).",
         scaled(weights.ap_constant), weights_tests.test_ap_ones, (4,)),
     Row(weights.two_weight_ap, "sup_B (avg_B w) * (avg_B sigma)**(p-1).",

@@ -429,6 +429,23 @@ def test_power_batches_keep_their_bits_in_one_illinois_loop():
                     assert np.array_equal(norms, np.repeat(alone, 2, axis=0)), (trial, phi)
 
 
+def test_power_sums_on_the_support_have_the_dense_bits():
+    # Phi is evaluated on the support only and summed by numpy's row sum of a
+    # buffer that is zero off it: the bits of the dense form at every n.  From
+    # n = 8 numpy sums a row pairwise, so a sequential sum of the support differs.
+    powers = [Power(2.0), Power(1.5), Power(1.2).conjugate()]  # the last is 6.000000000000001
+    rng = np.random.default_rng(83)
+    for n in (4, 7, 8, 9, 17):
+        f = 10.0 ** rng.uniform(-1.5, 1.5, size=(60, n))
+        f[rng.random(f.shape) < 0.4] = 0.0
+        f[0] = 0.0
+        w, x = 10.0 ** rng.uniform(-1, 1, size=f.shape), rng.uniform(-2, 2, size=len(f))
+        sums = orlicz._power_sums(f, w, powers, [0, 10, 35, 60])(x)
+        for phi, rows in zip(powers, (slice(0, 10), slice(10, 35), slice(35, 60))):
+            dense = (phi(f[rows] / np.exp(x[rows])[:, None]) * w[rows]).sum(axis=1)
+            assert np.array_equal(sums[rows], dense), (n, phi)
+
+
 class CountingYoung(YoungFunction):
     """Delegates to ``base`` and counts the calls of Phi and the elements it is evaluated on."""
 

@@ -29,6 +29,8 @@ from .orlicz import (
 )
 from .space import QuasiMetricSpace, ball_table, space_profile
 from .weights import (
+    _bump_luxemburg,
+    _wp_luxemburg,
     ainfty_fujii_wilson,
     as_weight,
     bump_ap,
@@ -186,21 +188,19 @@ def opnorm_lower_bound(
     return OpNormEstimate(float(best_val), best_f, strategies, trials)
 
 
-def verify_reductions(
-    space: QuasiMetricSpace,
-    w,
-    sigma,
-    p: float,
-) -> dict:
+def verify_reductions(space: QuasiMetricSpace, w, sigma, p: float) -> dict:
     """Power-function reduction identities, both sides via independent paths.
 
     bump with Power(p') equals the classical two-weight constant, and the
-    Orlicz Fujii-Wilson constant with Power(p) equals the plain one.
+    Orlicz Fujii-Wilson constant with Power(p) equals the plain one.  The Orlicz
+    side is the ``Power`` Luxemburg sweep, one root per norm (``_bump_luxemburg``,
+    ``_wp_luxemburg``), not the ball averages and restricted maximal function of
+    the other side, of which ``bump_ap`` and ``wp_constant`` under Power are made.
     """
     pc = p_conjugate(p)
-    bump = bump_ap(space, w, sigma, p, Power(pc))
+    bump = _bump_luxemburg(space, w, sigma, p, Power(pc))
     classical = two_weight_ap(space, w, sigma, p)
-    wp = wp_constant(space, sigma, p, Power(p))
+    wp = _wp_luxemburg(space, sigma, p, Power(p))
     fw = ainfty_fujii_wilson(space, sigma)
     err_bump = abs(bump - classical) / classical
     err_wp = abs(wp - fw) / fw
@@ -217,12 +217,13 @@ def verify_reductions(
 
 
 def weight_constant_requests(w, sigma, p: float, phis) -> list:
-    """The ``bump_ap`` and ``wp_constant`` calls of ``verify_reductions`` and of
-    ``verify_main_chain`` under each of ``phis``, as ``solve_orlicz_constants``
-    requests: solved at once, they leave each check only memo reads."""
-    pairs = [(Power(p_conjugate(p)), Power(p))] + [(phi, phi.conjugate()) for phi in phis]
+    """The Luxemburg norms that ``verify_reductions`` reads, and those that
+    ``verify_main_chain`` reads under each of ``phis`` other than a power (its
+    constants are closed forms), as ``solve_orlicz_constants`` requests: solved
+    at once, they leave each check only memo reads."""
+    pairs = [(Power(p_conjugate(p)), Power(p))] + [(phi, phi.conjugate()) for phi in phis if not isinstance(phi, Power)]
     return [request for bump, wp in pairs
-            for request in ((bump_ap, w, sigma, p, bump), (wp_constant, sigma, p, wp))]
+            for request in ((_bump_luxemburg, w, sigma, p, bump), (_wp_luxemburg, sigma, p, wp))]
 
 
 def probe_moen_and_norm(

@@ -7,7 +7,10 @@ the canonical family.  Conventions:
 * the one-weight A_p and the exponential A_infty constant demand a strictly
   positive weight, since they involve w**(-1/(p-1)) or log(1/w);
 * two-weight constants accept weights with zeros;
-* a constant whose value is inf or NaN raises InputError naming itself.
+* a constant whose value is inf or NaN raises InputError naming itself;
+* ``bump_ap`` and ``wp_constant`` under ``Power(s)`` are closed forms in ball
+  averages and the maximal function, scaled free of the range of w and sigma;
+  any other Young function reads Luxemburg norms.
 """
 from __future__ import annotations
 
@@ -18,8 +21,8 @@ import math
 import numpy as np
 
 from .errors import InputError
-from .maximal import restricted_maximal_table
-from .orlicz import YoungFunction, _norms_core, p_conjugate
+from .maximal import hl_maximal, restricted_maximal_table
+from .orlicz import Power, YoungFunction, _norms_core, p_conjugate
 from .space import QuasiMetricSpace, as_field, ball_table
 
 __all__ = [
@@ -129,49 +132,41 @@ def _from_norms(plan):
 
 
 def solve_orlicz_constants(space: QuasiMetricSpace, requests) -> list:
-    """The values of ``requests``, each (``bump_ap`` or ``wp_constant``, *the
-    call's arguments after the space), from one Luxemburg solve in which the
+    """The values of ``requests``, each (``_bump_luxemburg`` or ``_wp_luxemburg``,
+    *the call's arguments after the space), from one Luxemburg solve in which the
     requests on equal fields share one job.  Each finite value is kept on the
-    space under the key of its own call, which then reads it; a value that is
-    not finite is not kept, so its own call still raises."""
+    space under the key of its own call, which then reads it, and so does a later
+    request; a value that is not finite is not kept, so its own call still raises."""
     jobs, reads = {}, []
     for constant, *args in requests:
         inputs, key = constant.bind(space, *args)
+        if key in space._memo:
+            reads.append((key, None, None, space._memo[key]))
+            continue
         fields, value = constant.plan(**inputs)
         job = fields.shape, fields.tobytes()
         jobs.setdefault(job, (fields, {}))[1][inputs["phi"]] = None  # its phis in order, each once
         reads.append((key, job, inputs["phi"], value))
     tbl = ball_table(space)
-    sweeps = _norms_core(tbl.member, tbl.weighted, tbl.mu, space.mass,
-                         [(np.atleast_2d(fields), list(phis)) for fields, phis in jobs.values()])
+    sweeps = jobs and _norms_core(tbl.member, tbl.weighted, tbl.mu, space.mass,
+                                  [(np.atleast_2d(fields), list(phis)) for fields, phis in jobs.values()])
     norms = {job: dict(zip(phis, out)) for (job, (_, phis)), out in zip(jobs.items(), sweeps)}
-    values = [value(norms[job][phi]) for _, job, phi, value in reads]
+    values = [value if job is None else value(norms[job][phi]) for _, job, phi, value in reads]
     space._memo.update((key, v) for (key, *_), v in zip(reads, values) if math.isfinite(v))
     return values
 
 
 @_from_norms
-def bump_ap(
-    space: QuasiMetricSpace,
-    w,
-    sigma,
-    p: float,
-    phi: YoungFunction,
-) -> float:
-    """Orlicz-bump constant: sup_B (avg_B w) * ||sigma**(1/p')||_{Phi,B}**p."""
+def _bump_luxemburg(space: QuasiMetricSpace, w, sigma, p: float, phi: YoungFunction) -> float:
+    """``bump_ap`` read off the Luxemburg norms of sigma**(1/p')."""
     pc = p_conjugate(p)
     tbl = ball_table(space)
     return sigma ** (1.0 / pc), lambda norms: float(np.max(tbl.averages(w) * norms[0] ** p))
 
 
 @_from_norms
-def wp_constant(space: QuasiMetricSpace, sigma, p: float, phi: YoungFunction) -> float:
-    """Orlicz generalization of the Fujii-Wilson constant.
-
-    sup over balls B with sigma(B) > 0 of
-        (1/sigma(B)) * sum_B M_Phi(sigma**(1/p) * chi_B)**p dmu,
-    where the Orlicz maximal function ranges over all canonical balls.
-    """
+def _wp_luxemburg(space: QuasiMetricSpace, sigma, p: float, phi: YoungFunction) -> float:
+    """``wp_constant`` read off the Luxemburg norms of the rows sigma**(1/p) * chi_B."""
     p_conjugate(p)
     tbl = ball_table(space)
     sb = tbl.weighted @ sigma
@@ -180,6 +175,53 @@ def wp_constant(space: QuasiMetricSpace, sigma, p: float, phi: YoungFunction) ->
     # the point maxima of the norms of the rows g * chi_B are M_Phi(g * chi_B)
     return g[None, :] * tbl.member[live], lambda norms: float(np.max(
         (tbl.point_max(norms) ** p * tbl.weighted[live]).sum(axis=1) / sb[live]))
+
+
+@_finite
+def bump_ap(space: QuasiMetricSpace, w, sigma, p: float, phi: YoungFunction) -> float:
+    """Orlicz-bump constant: sup_B (avg_B w) * ||sigma**(1/p')||_{Phi,B}**p.
+
+    For Phi = Power(s) the norm is the s-mean: with S_B = max_B sigma,
+    ||sigma**(1/p')||_{s,B}**p = S_B**(p-1) * (avg_B (sigma/S_B)**(s/p'))**(p/s),
+    taken of w and sigma scaled by powers of two to maxima in [1/2, 1); the value,
+    of degree 1 in w and p - 1 in sigma, is scaled back by one power of two.
+    Any other Phi reads Luxemburg norms (``_bump_luxemburg``).
+    """
+    if not isinstance(phi, Power):
+        return solve_orlicz_constants(space, [(_bump_luxemburg, w, sigma, p, phi)])[0]
+    pc = p_conjugate(p)
+    tbl = ball_table(space)
+    kw, ks = (math.frexp(float(v.max()))[1] for v in (w, sigma))
+    w, sigma = np.ldexp(w, -kw), np.ldexp(sigma, -ks)
+    held = tbl.member * sigma
+    top = held.max(axis=1)  # S_B
+    held /= np.where(top > 0, top, 1.0)[:, None]
+    mean = (held ** (phi.s / pc) * tbl.weighted).sum(axis=1) / tbl.mu
+    value = np.max(tbl.averages(w) * top ** (p - 1.0) * mean ** (p / phi.s))
+    scale = kw + (p - 1.0) * ks
+    return float(np.ldexp(value * 2.0 ** (scale % 1.0), math.floor(scale)))
+
+
+@_finite
+def wp_constant(space: QuasiMetricSpace, sigma, p: float, phi: YoungFunction) -> float:
+    """Orlicz generalization of the Fujii-Wilson constant.
+
+    sup over balls B with sigma(B) > 0 of
+        (1/sigma(B)) * sum_B M_Phi(sigma**(1/p) * chi_B)**p dmu,
+    where the Orlicz maximal function ranges over all canonical balls.
+    For Phi = Power(s), M_Phi(h)**p = M(h**s)**(p/s), so with S_B = max_B sigma
+    and F_B = (sigma * chi_B / S_B)**(s/p) the term of B is the scale-free
+        sum_B M(F_B)**(p/s) dmu / sum_B (sigma/S_B) dmu.
+    Any other Phi reads Luxemburg norms (``_wp_luxemburg``).
+    """
+    if not isinstance(phi, Power):
+        return solve_orlicz_constants(space, [(_wp_luxemburg, sigma, p, phi)])[0]
+    p_conjugate(p)
+    tbl = ball_table(space)
+    top = (tbl.member * sigma).max(axis=1)  # S_B, and sigma / S_B on each ball with sigma(B) > 0
+    held, weighted = tbl.member[top > 0] * sigma / top[top > 0, None], tbl.weighted[top > 0]
+    rmax = hl_maximal(space, held ** (phi.s / p))  # M(F_B), row by row
+    return float(np.max((rmax ** (p / phi.s) * weighted).sum(axis=1) / (held * weighted).sum(axis=1)))
 
 
 @_finite

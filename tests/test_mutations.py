@@ -20,6 +20,7 @@ import test_orlicz as orlicz_tests
 import test_space as space_tests
 import test_weights as weights_tests
 from shtlab import czdecomp, orlicz, weights
+from shtlab.orlicz import Power
 from shtlab.space import BallTable, build_space
 
 
@@ -69,6 +70,17 @@ def scaled(constant):
         rebind(monkeypatch, constant, lambda *args: constant(*args) * (1.0 + 1e-9))
 
     fault.__name__ = f"scaled_{constant.__name__}"
+    return fault
+
+
+def scaled_power_form(constant):
+    """The fault that scales the value of ``constant`` under a ``Power`` Phi, its
+    closed form, by 1 + 1e-9."""
+    def fault(monkeypatch):
+        rebind(monkeypatch, constant, lambda space, *args: constant(space, *args) * (
+            1.0 + 1e-9 if isinstance(args[-1], Power) else 1.0))
+
+    fault.__name__ = f"scaled_power_{constant.__name__}"
     return fault
 
 
@@ -166,6 +178,11 @@ ROWS = [
         scaled(weights.wp_constant), weights_tests.test_conjugate_path_matches_power_identities),
     Row(weights.bump_ap, "Orlicz-bump constant: sup_B (avg_B w) * ||sigma**(1/p')||_{Phi,B}**p.",
         scaled(weights.bump_ap), weights_tests.test_conjugate_path_matches_power_identities),
+    Row(weights.bump_ap, "For Phi = Power(s) the norm is the s-mean",
+        scaled_power_form(weights.bump_ap), weights_tests.test_power_closed_forms_agree_with_the_luxemburg_route),
+    Row(weights.wp_constant, "For Phi = Power(s), M_Phi(h)**p = M(h**s)**(p/s)",
+        scaled_power_form(weights.wp_constant),
+        weights_tests.test_power_closed_forms_agree_with_the_luxemburg_route),
     Row(weights.sawyer_constant,
         "sup over balls B with sigma(B) > 0 of ((1/sigma(B)) * sum_B M(sigma*chi_B)**p * w dmu)**(1/p).",
         scaled(weights.sawyer_constant), weights_tests.test_sawyer_matches_oracle_random),

@@ -6,8 +6,8 @@ import pytest
 from conftest import random_cloud
 from shtlab import suite, verify, weights
 from shtlab.errors import InputError
-from shtlab.orlicz import Power, PowerLog, alpha_p
-from shtlab.space import ball_table, space_profile
+from shtlab.orlicz import Power, PowerLog, alpha_p, luxemburg_norms_over_balls
+from shtlab.space import QuasiMetricSpace, ball_table, space_profile
 from shtlab.verify import (
     _ratio,
     opnorm_lower_bound,
@@ -70,6 +70,30 @@ def test_reductions_trivial_and_atom(line4):
     assert rep["bump_power_pconj"] == pytest.approx(1.0, rel=1e-9)
     rep = verify_reductions(line4, ATOM4, np.array([9.0, 1.0, 1.0, 1.0]), 2.0)
     assert rep["passed"]
+
+
+def test_reductions_read_luxemburg_roots_not_averages():
+    # after the suite's one solve, the Orlicz side of each identity has the bits
+    # of the Power sweep of luxemburg_norms_over_balls on a fresh space, called
+    # directly; bump_ap and wp_constant under Power are ball averages instead
+    rng = np.random.default_rng(47)
+    for trial in range(6):
+        sp = random_cloud(rng, int(rng.integers(3, 9)), dim=1 + trial % 2)
+        w, sigma = (10.0 ** rng.uniform(-1, 1, sp.n) for _ in range(2))
+        sigma[rng.integers(sp.n)] = 0.0
+        p = float(rng.choice([1.5, 2.0, 3.0]))
+        pc = p / (p - 1.0)
+        weights.solve_orlicz_constants(sp, verify.weight_constant_requests(w, sigma, p, [PowerLog(pc, 1.0)]))
+        rep = verify_reductions(sp, w, sigma, p)
+        fresh = QuasiMetricSpace(sp.dist, sp.mass)
+        tbl = ball_table(fresh)
+        norms = luxemburg_norms_over_balls(fresh, sigma ** (1.0 / pc), Power(pc))[0]
+        assert rep["bump_power_pconj"] == float(np.max(tbl.averages(w) * norms**p))
+        sb = tbl.weighted @ sigma
+        live = sb > 0
+        norms = luxemburg_norms_over_balls(fresh, sigma ** (1.0 / p) * tbl.member[live], Power(p))
+        assert rep["wp_power_p"] == float(np.max(
+            (tbl.point_max(norms) ** p * tbl.weighted[live]).sum(axis=1) / sb[live]))
 
 
 # ------------------------------------------------------------ opnorm
@@ -302,12 +326,13 @@ def test_chain_constant_matches_formula(line4):
 
 
 def test_one_instance_reuses_its_weight_constants(monkeypatch):
-    # one Luxemburg solve takes the norms of the reductions and chains: its jobs
-    # are bump's sigma**(1/p') and wp's rows sigma**(1/p) * chi_B, and at p = 2
-    # the reductions' bump(Power(p')) and wp(Power(p)) are chain 1's, so the six
-    # Young functions below remain; every constant then reads the memo.  A memo
-    # that never hits, as if cleared between calls, adds one solve for each of
-    # the 8 calls and gives the same report
+    # one Luxemburg solve takes the norms that the reductions read under Power(p')
+    # and Power(p), and those of the power-log chain: its jobs are bump's
+    # sigma**(1/p') and wp's rows sigma**(1/p) * chi_B.  The power chains' constants
+    # are closed forms, so the four Young functions below remain; every constant
+    # then reads the memo.  A memo that never hits, as if cleared between calls,
+    # adds one solve for each of the 4 calls that read norms (the reductions' two
+    # and the power-log chain's two) and gives the same report
     manifest = {"seed": 1, "instances": [{
         "name": "atom", "space": {"type": "grid", "shape": [4]},
         "w": [1.0, 1.0, 1.0, 9.0], "sigma": [1.0, 1.0, 1.0, 1.0], "p": 2.0}]}
@@ -319,9 +344,8 @@ def test_one_instance_reuses_its_weight_constants(monkeypatch):
 
     monkeypatch.setattr(weights, "_norms_core", counted)
     report, _ = suite.run_suite(manifest)
-    assert calls == [[["power:2", "power:4", "powerlog:2:1"],
-                      ["power:2", "power:1.33333", "conjugate(powerlog:2:1)"]]]
+    assert calls == [[["power:2", "powerlog:2:1"], ["power:2", "conjugate(powerlog:2:1)"]]]
     calls.clear()
     monkeypatch.setattr(weights, "_memo_key", lambda name, inputs: object())
     assert suite.run_suite(manifest)[0] == report
-    assert len(calls) == 1 + 8
+    assert len(calls) == 1 + 4

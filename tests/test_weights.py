@@ -1,5 +1,8 @@
+import decimal
 import itertools
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +13,8 @@ from shtlab.maximal import orlicz_maximal
 from shtlab.orlicz import Power, PowerLog
 from shtlab.space import QuasiMetricSpace, ball_table
 from shtlab.weights import (
+    _bump_luxemburg,
+    _wp_luxemburg,
     ainfty_exp,
     ainfty_fujii_wilson,
     ap_constant,
@@ -236,6 +241,101 @@ def test_conjugate_path_matches_power_identities():
             )
 
 
+# ------------------------------------------------------------ Power closed forms
+
+
+def power_contexts(seed, count):
+    """(space, w, sigma, p, Power(s)) on 1-D and 2-D clouds of 2-8 points, sigma
+    with a zero, s in {p', 2p', p, 4}."""
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        sp = random_cloud(rng, int(rng.integers(2, 9)), dim=1 + trial % 2)
+        w, sigma = (10.0 ** rng.uniform(-1, 1, sp.n) for _ in range(2))
+        sigma[rng.integers(sp.n)] = 0.0
+        p = float(rng.choice([1.5, 2.0, 3.0]))
+        pc = p / (p - 1.0)
+        for s in (pc, 2.0 * pc, p, 4.0):
+            yield sp, w, sigma, p, Power(s)
+
+
+def test_power_closed_forms_agree_with_the_luxemburg_route():
+    for sp, w, sigma, p, phi in power_contexts(97, 20):
+        assert bump_ap(sp, w, sigma, p, phi) == pytest.approx(
+            _bump_luxemburg(sp, w, sigma, p, phi), rel=1e-11)
+        assert wp_constant(sp, sigma, p, phi) == pytest.approx(
+            _wp_luxemburg(sp, sigma, p, phi), rel=1e-11)
+
+
+def test_power_closed_forms_are_homogeneous_over_the_float_range():
+    # bump is of degree 1 in w and p - 1 in sigma, wp of degree 0 in sigma; the
+    # scaled value is taken exactly in Decimal and compared where it is a normal float
+    scales = [10.0**k for k in (-300, -200, -100, 0, 100, 200, 300)]
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        for sp, w, sigma, p, phi in power_contexts(89, 6):
+            bump, wp = bump_ap(sp, w, sigma, p, phi), wp_constant(sp, sigma, p, phi)
+            for cw, cs in itertools.product(scales, scales):
+                exact = Decimal(bump) * Decimal(cw) * Decimal(cs) ** Decimal(p - 1.0)
+                if Decimal("1e-300") < exact < Decimal("1e300"):
+                    assert bump_ap(sp, cw * w, cs * sigma, p, phi) == pytest.approx(float(exact), rel=1e-13)
+            for cs in scales:
+                assert wp_constant(sp, cs * sigma, p, phi) == pytest.approx(wp, rel=1e-13)
+
+
+def test_power_closed_forms_keep_a_wide_spread_of_sigma(line4):
+    # sigma from 1e-200 to 1 within one field: no value underflows to 0, none raises
+    rng = np.random.default_rng(101)
+    for sp, w, sigma, p, phi in power_contexts(83, 6):
+        spread = np.where(sigma > 0, 10.0 ** rng.uniform(-200, 0, sp.n), 0.0)
+        spread[np.argmax(spread)] = 1.0
+        assert bump_ap(sp, w, spread, p, phi) > 0 and wp_constant(sp, spread, p, phi) > 0
+    # degree 0: sigma = [1e308, 1e-308, 1, 1] is [1, 0, 1e-308, 1e-308] to float precision
+    assert wp_constant(line4, [1e308, 1e-308, 1.0, 1.0], 2.0, Power(2.0)) == pytest.approx(
+        wp_constant(line4, [1.0, 0.0, 1e-308, 1e-308], 2.0, Power(2.0)), rel=1e-15)
+
+
+def exact_balls(space):
+    """Every open ball dist(c, .) < r as a member list, r over every positive
+    distance and one past the maximum: the whole family, with no ball table."""
+    radii = sorted({float(d) for d in space.dist.ravel() if d > 0} | {float(space.dist.max()) + 1.0})
+    return [[y for y in range(space.n) if space.dist[c, y] < r] for c in range(space.n) for r in radii]
+
+
+def exact_average(space, f, ball):
+    return sum(Fraction(f[y]) * Fraction(space.mass[y]) for y in ball) / sum(
+        Fraction(space.mass[y]) for y in ball)
+
+
+def exact_power_constants(space, w, sigma):
+    """bump_ap and wp_constant at p = s = 2 in exact arithmetic: sup_B avg_B w *
+    avg_B sigma, and sup_B (1/sigma(B)) * sum_B M(sigma * chi_B) dmu."""
+    balls = exact_balls(space)
+    bump = max(exact_average(space, w, b) * exact_average(space, sigma, b) for b in balls)
+    wp = 0
+    for b in balls:
+        held = [sigma[y] if y in b else 0.0 for y in range(space.n)]
+        mass_b = sum(Fraction(sigma[y]) * Fraction(space.mass[y]) for y in b)
+        if mass_b > 0:
+            total = sum(max(exact_average(space, held, c) for c in balls if x in c) * Fraction(space.mass[x])
+                        for x in b)
+            wp = max(wp, total / mass_b)
+    return bump, wp
+
+
+def test_power_closed_forms_are_within_8_ulps_of_exact_arithmetic():
+    rng = np.random.default_rng(15)
+    for trial in range(12):
+        n = int(rng.integers(2, 6))
+        coords = np.sort(rng.choice(8, size=n, replace=False)).astype(float)
+        sp = QuasiMetricSpace(np.abs(np.subtract.outer(coords, coords)), rng.integers(1, 9, n) / 8.0)
+        w, sigma = (rng.integers(0, 17, n) / 16.0 for _ in range(2))
+        w[0] = sigma[-1] = 1.0
+        bump, wp = exact_power_constants(sp, w, sigma)
+        for got, exact in ((bump_ap(sp, w, sigma, 2.0, Power(2.0)), bump),
+                           (wp_constant(sp, sigma, 2.0, Power(2.0)), wp)):
+            assert abs(Fraction(got) - exact) <= 8 * Fraction(math.ulp(float(exact))), (trial, got, exact)
+
+
 def test_point_max_rows_match_single_rows():
     rng = np.random.default_rng(43)
     sp = random_cloud(rng, 7, dim=2)
@@ -360,7 +460,9 @@ BIG4 = np.full(4, 1e300)
         ("ainfty_fujii_wilson", lambda sp: ainfty_fujii_wilson(sp, np.full(4, 1e308))),
         ("ainfty_exp", lambda sp: ainfty_exp(sp, [1e300, 1e-300, 1e-300, 1e-300])),
         ("bump_ap", lambda sp: bump_ap(sp, BIG4, BIG4, 2.0, Power(2.0))),
-        ("wp_constant", lambda sp: wp_constant(sp, [1e308, 1e-308, 1.0, 1.0], 2.0, Power(2.0))),
+        # under Power, wp is the scale-free closed form (2.0833... here); the
+        # Luxemburg route of a power-log Phi still overflows its sums
+        ("wp_constant", lambda sp: wp_constant(sp, [1e308, 1e-308, 1.0, 1.0], 2.0, PowerLog(2.0, 1.0))),
         ("sawyer_constant", lambda sp: sawyer_constant(sp, ONES4, BIG4, 2.0)),
         ("sawyer_constant", lambda sp: constants_report(sp, ONES4, BIG4, 2.0, Power(2.0))),
     ],
@@ -372,14 +474,15 @@ def test_non_finite_constant_is_refused_by_name(line4, name, compute):
 
 def test_batched_constants_are_their_single_calls():
     # solve_orlicz_constants gives each request the bits of its single call on a
-    # fresh space, and keeps it under that call's key: the call then adds nothing
+    # fresh space, and keeps it under that call's key: the call then adds nothing.
+    # The requests read Luxemburg norms, Power included
     rng = np.random.default_rng(73)
     for trial in range(4):
         sp = random_cloud(rng, int(rng.integers(3, 7)), dim=1 + trial % 2)
         w, sigma = (10.0 ** rng.uniform(-1, 1, sp.n) for _ in range(2))
         requests = [request for p in (1.2, 2.0, 3.0)
                     for phi in (Power(p / (p - 1.0)), Power(4.0), PowerLog(2.0, 1.0).conjugate())
-                    for request in ((bump_ap, w, sigma, p, phi), (wp_constant, sigma, p, phi))]
+                    for request in ((_bump_luxemburg, w, sigma, p, phi), (_wp_luxemburg, sigma, p, phi))]
         values = solve_orlicz_constants(sp, requests)
         kept = len(sp._memo)
         for (constant, *args), value in zip(requests, values):
@@ -390,9 +493,9 @@ def test_batched_constants_are_their_single_calls():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow warns
 def test_batched_constants_keep_finite_values_only(line4):
-    values = solve_orlicz_constants(line4, [(bump_ap, BIG4, BIG4, 2.0, Power(2.0)),
-                                            (bump_ap, ONES4, ONES4, 2.0, Power(2.0))])
+    values = solve_orlicz_constants(line4, [(_bump_luxemburg, BIG4, BIG4, 2.0, Power(2.0)),
+                                            (_bump_luxemburg, ONES4, ONES4, 2.0, Power(2.0))])
     assert values[0] == math.inf and values[1] == pytest.approx(1.0, rel=1e-9)
     assert list(line4._memo.values()) == values[1:]
-    with pytest.raises(InputError, match=r"^bump_ap is inf, not a finite number$"):
-        bump_ap(line4, BIG4, BIG4, 2.0, Power(2.0))
+    with pytest.raises(InputError, match=r"^_bump_luxemburg is inf, not a finite number$"):
+        _bump_luxemburg(line4, BIG4, BIG4, 2.0, Power(2.0))

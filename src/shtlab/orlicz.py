@@ -323,6 +323,15 @@ class NumericConjugate(YoungFunction):
         return self.base
 
 
+def _mass_ratio(mu, mass) -> float:
+    """mu_max/mass_min, the reach of a Luxemburg norm or s-mean; InputError if it overflows."""
+    ratio = float(mu.max()) / float(mass.min())  # a Python float division overflows to inf without a warning
+    if ratio == math.inf:
+        raise InputError(f"mass ratio mu_max/mass_min = {mu.max():g}/{mass.min():g} overflows, "
+                         f"so no Luxemburg norm can be bracketed")
+    return ratio
+
+
 def _norms_core(member, weighted, mu, mass, jobs):
     """Luxemburg norms of every row of each job's (fmat (k, n), [phi, ...]) over
     every ball row: per job and phi, (k, m).  member : (m, n) bool, weighted =
@@ -343,13 +352,7 @@ def _norms_core(member, weighted, mu, mass, jobs):
     is one more element of each chunk's bracket inversion (Power: closed form).
     """
     outs = [[np.zeros((len(fmat), len(member))) for _ in phis] for fmat, phis in jobs]
-    # the module docstring's bracket; a Python float division overflows to inf without a warning
-    ratio = float(mu.max()) / float(mass.min())
-    if ratio == math.inf:
-        raise InputError(
-            f"mass ratio mu_max/mass_min = {mu.max():g}/{mass.min():g} overflows, "
-            f"so no Luxemburg norm can be bracketed"
-        )
+    ratio = _mass_ratio(mu, mass)  # the module docstring's bracket
     pending = {}  # the Power batches waiting for an Illinois loop, by phi
 
     def gap(x, f, w, mu_b, state, phi):

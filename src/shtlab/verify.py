@@ -21,12 +21,7 @@ import numpy as np
 
 from .errors import InputError
 from .maximal import hl_maximal
-from .orlicz import (
-    Power,
-    YoungFunction,
-    alpha_p,
-    p_conjugate,
-)
+from .orlicz import Power, YoungFunction, alpha_p, p_conjugate
 from .space import QuasiMetricSpace, ball_table, space_profile
 from .weights import (
     _bump_luxemburg,

@@ -9,8 +9,8 @@ the canonical family.  Conventions:
 * two-weight constants accept weights with zeros;
 * a constant whose value is inf or NaN raises InputError naming itself;
 * ``bump_ap`` and ``wp_constant`` under ``Power(s)`` are closed forms in ball
-  averages and the maximal function, scaled free of the range of w and sigma;
-  any other Young function reads Luxemburg norms.
+  averages and the maximal function, scaled free of the range of w and sigma,
+  on spaces whose mass ratio is finite; any other Phi reads Luxemburg norms.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InputError
 from .maximal import hl_maximal, restricted_maximal_table
-from .orlicz import Power, YoungFunction, _norms_core, p_conjugate
+from .orlicz import Power, YoungFunction, _mass_ratio, _norms_core, p_conjugate
 from .space import QuasiMetricSpace, as_field, ball_table
 
 __all__ = [
@@ -184,13 +184,14 @@ def bump_ap(space: QuasiMetricSpace, w, sigma, p: float, phi: YoungFunction) -> 
     For Phi = Power(s) the norm is the s-mean: with S_B = max_B sigma,
     ||sigma**(1/p')||_{s,B}**p = S_B**(p-1) * (avg_B (sigma/S_B)**(s/p'))**(p/s),
     taken of w and sigma scaled by powers of two to maxima in [1/2, 1); the value,
-    of degree 1 in w and p - 1 in sigma, is scaled back by one power of two.
-    Any other Phi reads Luxemburg norms (``_bump_luxemburg``).
+    of degree 1 in w and p - 1 in sigma, is scaled back by one power of two, and
+    InputError if no scaled term is a normal float.  Other Phi: ``_bump_luxemburg``.
     """
     if not isinstance(phi, Power):
         return solve_orlicz_constants(space, [(_bump_luxemburg, w, sigma, p, phi)])[0]
     pc = p_conjugate(p)
     tbl = ball_table(space)
+    _mass_ratio(tbl.mu, space.mass)
     kw, ks = (math.frexp(float(v.max()))[1] for v in (w, sigma))
     w, sigma = np.ldexp(w, -kw), np.ldexp(sigma, -ks)
     held = tbl.member * sigma
@@ -198,6 +199,8 @@ def bump_ap(space: QuasiMetricSpace, w, sigma, p: float, phi: YoungFunction) -> 
     held /= np.where(top > 0, top, 1.0)[:, None]
     mean = (held ** (phi.s / pc) * tbl.weighted).sum(axis=1) / tbl.mu
     value = np.max(tbl.averages(w) * top ** (p - 1.0) * mean ** (p / phi.s))
+    if not value >= np.finfo(float).tiny:
+        raise InputError(f"bump_ap under {phi.label} underflows with w and sigma scaled to maxima near 1")
     scale = kw + (p - 1.0) * ks
     return float(np.ldexp(value * 2.0 ** (scale % 1.0), math.floor(scale)))
 
@@ -218,6 +221,7 @@ def wp_constant(space: QuasiMetricSpace, sigma, p: float, phi: YoungFunction) ->
         return solve_orlicz_constants(space, [(_wp_luxemburg, sigma, p, phi)])[0]
     p_conjugate(p)
     tbl = ball_table(space)
+    _mass_ratio(tbl.mu, space.mass)
     top = (tbl.member * sigma).max(axis=1)  # S_B, and sigma / S_B on each ball with sigma(B) > 0
     held, weighted = tbl.member[top > 0] * sigma / top[top > 0, None], tbl.weighted[top > 0]
     rmax = hl_maximal(space, held ** (phi.s / p))  # M(F_B), row by row

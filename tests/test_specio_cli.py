@@ -623,6 +623,8 @@ def test_extreme_masses_exit_2(files, capsys):
         (["verify", "--manifest", _write(d / "m.json", _manifest(space, [1, 1, 1, 1]))],
          "doubling order"),
         (["constants", "--space", path, "--w", files["ones"], "--sigma", files["ones"],
+          "--p", "2"], "mass ratio mu_max/mass_min"),
+        (["constants", "--space", path, "--w", files["ones"], "--sigma", files["ones"],
           "--p", "2", "--phi", "powerlog:2:1"], "mass ratio mu_max/mass_min"),
     ]
     for args, message in cases:

@@ -294,6 +294,23 @@ def test_power_closed_forms_keep_a_wide_spread_of_sigma(line4):
         wp_constant(line4, [1.0, 0.0, 1e-308, 1e-308], 2.0, Power(2.0)), rel=1e-15)
 
 
+def test_power_closed_forms_refuse_what_they_cannot_hold():
+    # masses [1e-200, 1, 1, 1e200]: mu_max/mass_min overflows, and the whole-line
+    # average of sigma = [1, 0, 0, 0] underflows to 0 (wp would read 2.5, not 3.5)
+    extreme = QuasiMetricSpace([[abs(i - j) for j in range(4)] for i in range(4)], [1e-200, 1, 1, 1e200])
+    for sigma in (ONES4, [1.0, 0.0, 0.0, 0.0]):
+        for s in (2.0, 20.0):
+            with pytest.raises(InputError, match="mass ratio mu_max/mass_min"):
+                bump_ap(extreme, ONES4, sigma, 2.0, Power(s))
+            with pytest.raises(InputError, match="mass ratio mu_max/mass_min"):
+                wp_constant(extreme, sigma, 2.0, Power(s))
+    # a finite mass ratio, 1e300, but the one live term, 1, is 2.5e-601 once sigma
+    # is scaled to a maximum of 1/2: it underflows, and 0 is not returned
+    pair = QuasiMetricSpace([[0.0, 1.0], [1.0, 0.0]], [1e-150, 1e150])
+    with pytest.raises(InputError, match="bump_ap under power:1.5 underflows"):
+        bump_ap(pair, [0.0, 1.0], [1e300, 0.0], 3.0, Power(1.5))
+
+
 def exact_balls(space):
     """Every open ball dist(c, .) < r as a member list, r over every positive
     distance and one past the maximum: the whole family, with no ball table."""

@@ -29,10 +29,10 @@ smallest mass, it is bracketed by
 
 Power-log roots are Newton solves in log(lam), each from its own bracket, in
 the module's one safeguarded Newton loop (``_newton``); a ``Power`` root comes
-from Illinois-damped false position (``_illinois``) and depends on its own
-batch of distinct pairs, never on what else shares the loop.  Its constraint
-evaluates Phi on the support of f only; off it the dense form holds exact
-zeros, and the same numpy row sum keeps the bits (``_power_sums``).
+from Illinois-damped false position (``_illinois``), one loop per chunk index,
+and depends on its own batch of distinct pairs, never on what else shares the
+loop.  Its constraint evaluates Phi on the support of f only; off it the dense
+form holds exact zeros, and the same numpy row sum keeps the bits (``_power_sums``).
 
 Root-finding tolerances are the module constants below; each checker's
 headroom sits in the check it serves (see the README).
@@ -324,11 +324,11 @@ class NumericConjugate(YoungFunction):
 
 
 def _mass_ratio(mu, mass) -> float:
-    """mu_max/mass_min, the reach of a Luxemburg norm or s-mean; InputError if it overflows."""
+    """mu_max/mass_min, the reach of a Luxemburg norm or ball average; InputError if it overflows."""
     ratio = float(mu.max()) / float(mass.min())  # a Python float division overflows to inf without a warning
     if ratio == math.inf:
         raise InputError(f"mass ratio mu_max/mass_min = {mu.max():g}/{mass.min():g} overflows, "
-                         f"so no Luxemburg norm can be bracketed")
+                         f"so a Luxemburg bracket or a ball average may leave the float range")
     return ratio
 
 
@@ -341,19 +341,18 @@ def _norms_core(member, weighted, mu, mass, jobs):
     ``weighted`` multiplies Phi(0) = 0.  So each chunk of a stack is
     deduplicated once for all its phis.  A ``Power`` root depends on its batch,
     the distinct pairs of one (stack, chunk) under one phi, and on nothing else:
-    ``_illinois`` steps it from the bracket of its largest mu(B) until its own
-    widest bracket is within REL_TOL, in one loop with the batches waiting with
-    it, evaluating Phi on the support of f only, with the dense bits
-    (``_power_sums``).  Any other root is a ``_newton`` solve of g(x) =
-    log(mu(B) / sum Phi(t) w) = 0, t = f e^{-x}, g' = sum Phi'(t) t w / sum
-    Phi(t) w, from its bracket's midpoint, with Phi and Phi' from one
+    the batches of every job at one chunk index share one ``_illinois`` loop,
+    which steps each from the bracket of its largest mu(B) until its own widest
+    bracket is within REL_TOL, evaluating Phi on the support of f only, with
+    the dense bits (``_power_sums``).  Any other root is a ``_newton`` solve of
+    g(x) = log(mu(B) / sum Phi(t) w) = 0, t = f e^{-x}, g' = sum Phi'(t) t w /
+    sum Phi(t) w, from its bracket's midpoint, with Phi and Phi' from one
     ``phi.warm`` evaluation that carries the conjugate's log argmax per entry to
     the next: the bits of the pair solved alone.  Phi^{-1}(1), the upper end,
     is one more element of each chunk's bracket inversion (Power: closed form).
     """
     outs = [[np.zeros((len(fmat), len(member))) for _ in phis] for fmat, phis in jobs]
     ratio = _mass_ratio(mu, mass)  # the module docstring's bracket
-    pending = {}  # the Power batches waiting for an Illinois loop, by phi
 
     def gap(x, f, w, mu_b, state, phi):
         t = f / np.exp(x)[:, None]
@@ -361,28 +360,11 @@ def _norms_core(member, weighted, mu, mass, jobs):
         total = (values * w).sum(axis=1)
         return np.log(mu_b / total), (slopes * t * w).sum(axis=1) / total
 
-    def flush():
-        powers, runs = list(pending), np.arange(len(pending) + 1)
-        kinds, fa, wa, mua, xlo, xhi, ends = zip(
-            *[(kind, *batch) for kind, phi in enumerate(powers) for batch in pending.pop(phi)])
-        sizes = np.array([mu_b.size for mu_b in mua])
-        # a lone batch, the case of large inputs, is solved without a copy
-        fa, wa, mua, xlo, xhi = (part[0] if len(part) == 1 else np.concatenate(part)
-                                 for part in (fa, wa, mua, xlo, xhi))
-
-        def constraint(f, w, mu_b, kind):  # the batches of one phi are adjacent
-            sums = _power_sums(f, w, powers, kind.searchsorted(runs))
-            return lambda x: np.log(sums(x) / mu_b)
-
-        root = _illinois(constraint, xlo, xhi, sizes, f"Luxemburg norm under {' or '.join(map(repr, powers))}",
-                         fa, wa, mua, np.repeat(kinds, sizes))
-        for (out, cell, back), part in zip(ends, np.split(root, np.cumsum(sizes)[:-1])):
-            out[cell] = np.exp(part)[back]
-
     chunk = rows_per_chunk(member.size)  # bounds the (k, m, n) workspace
-    for (fmat, phis), job_outs in zip(jobs, outs):
-        for start in range(0, len(fmat), chunk):
-            rows = slice(start, start + chunk)
+    for start in range(0, max(len(fmat) for fmat, _ in jobs), chunk):
+        rows = slice(start, start + chunk)
+        batches = {}  # this chunk index's Power batches, by phi
+        for (fmat, phis), job_outs in zip(jobs, outs):
             fx = fmat[rows][:, None, :] * member[None, :, :]  # (kc, m, n)
             mx = fx.max(axis=2)
             act = mx > 0
@@ -403,7 +385,7 @@ def _norms_core(member, weighted, mu, mass, jobs):
             for phi, out in zip(phis, job_outs):
                 # Power keeps _illinois while the benchmark pins its roots' residuals (ROADMAP item 1)
                 if isinstance(phi, Power):
-                    pending.setdefault(phi, []).append((fa, wa, mua, np.log(maxf / phi.inverse(ratio)),
+                    batches.setdefault(phi, []).append((fa, wa, mua, np.log(maxf / phi.inverse(ratio)),
                                                         np.log(maxf / phi.inverse(1.0)), (out, (start + kk, bb), back)))
                     continue
                 inv = phi.inverse(np.append(mua / mass.min(), 1.0))  # and Phi^{-1}(1), the upper end
@@ -411,19 +393,25 @@ def _norms_core(member, weighted, mu, mass, jobs):
                 root = _newton(functools.partial(gap, phi=phi), 0.5 * (xlo + xhi), xlo, xhi,
                                f"Luxemburg norm under {phi!r}", fa, wa, mua, np.full(fa.shape, np.nan))
                 out[start + kk, bb] = np.exp(root)[back]
-            # approximate: held is the waiting batches' concatenated fa; wa, the copies
-            # and the loop's temporaries are a few times it, a fa shared by phis is held once
-            held = sum(batch[0].size for group in pending.values() for batch in group) / member.size
-            if held + len(fmat[rows]) > chunk:  # they and a chunk like this would outgrow one workspace
-                flush()
-    if pending:
-        flush()
+        if batches:  # one Illinois loop per chunk index; the batches of one phi are adjacent
+            kinds, fa, wa, mua, xlo, xhi, ends = zip(
+                *[(kind, *batch) for kind, phi in enumerate(batches) for batch in batches[phi]])
+            sizes = np.array([mu_b.size for mu_b in mua])
+            # a lone batch, the case of large inputs, is solved without a copy
+            fa, wa, mua, xlo, xhi = (part[0] if len(part) == 1 else np.concatenate(part)
+                                     for part in (fa, wa, mua, xlo, xhi))
+            sums = _power_sums(fa, wa, list(batches), np.repeat(kinds, sizes).searchsorted(np.arange(len(batches) + 1)))
+            root = _illinois(lambda x: np.log(sums(x) / mua), xlo, xhi, sizes,
+                             f"Luxemburg norm under {' or '.join(map(repr, batches))}")
+            for (out, cell, back), part in zip(ends, np.split(root, np.cumsum(sizes)[:-1])):
+                out[cell] = np.exp(part)[back]
+            del sums, root, part, ends, cell, xlo, xhi  # their room is the next chunk's workspace
     return outs
 
 
 def _power_sums(f, w, powers, cuts):
     """x -> sum_y Phi(f[i, y] e^{-x[i]}) w[i, y] for each row i of f (k, n), with
-    Phi = powers[j] on rows cuts[j]:cuts[j + 1], evaluated on the support f != 0.
+    Phi = powers[j] on rows cuts[j]:cuts[j + 1], on the support f != 0 (found once).
 
     Each exponent is applied in place as a scalar (``2.0`` keeps numpy's
     ``square`` path).  The values fill a (k, n) buffer that is zero off the
@@ -446,33 +434,30 @@ def _power_sums(f, w, powers, cuts):
     return sums
 
 
-def _illinois(func, xlo, xhi, sizes, what, *data):
-    """Illinois-damped false position for decreasing functions on batches of
-    ``sizes`` elements, concatenated in 1-d arrays: ``func(*data)`` builds the
-    function of x giving the active elements' values, >= 0 at xlo and <= 0 at
-    xhi, and is called again each time batches leave; ``data`` are per-element
-    arrays compacted with them.  A batch steps until its own widest bracket is
-    within REL_TOL, and leaves with its midpoints, or raises NumericalError
-    naming ``what`` after MAX_ITER steps; all else is elementwise, so a root
-    depends on its batch alone.  On the log-log ``Power`` constraint, affine in
-    x, the first false-position point is the root and each later one falls
-    within the margin of an end: the loop bisects, about 43 steps a call.
+def _illinois(at, xlo, xhi, sizes, what):
+    """Illinois-damped false position for decreasing functions on a fixed set of
+    batches of ``sizes`` elements, concatenated in 1-d arrays: ``at(x)`` gives
+    every element's value, >= 0 at xlo and <= 0 at xhi.  A batch takes its
+    midpoints at the first step its own widest bracket is within REL_TOL, and
+    is then done; the loop steps every element until every batch is done, or
+    raises NumericalError naming ``what`` after MAX_ITER steps.  All else is
+    elementwise, so a root depends on its batch alone.  On the log-log
+    ``Power`` constraint, affine in x, the first false-position point is the
+    root and each later one falls within the margin of an end: the loop
+    bisects, about 43 steps a call.
     """
-    idx, root, at = np.arange(xlo.size), np.empty(xlo.size), func(*data)
+    root, starts, done = np.empty(xlo.size), np.cumsum(sizes) - sizes, np.zeros(sizes.size, dtype=bool)
     x, fx = np.array([xlo, xhi]), np.array([at(xlo), at(xhi)])  # rows: the lower and the upper ends
-    (xlo, xhi), (fa, fb), starts = x, fx, np.cumsum(sizes) - sizes
-    side = np.zeros(x.shape, dtype=bool)  # the end each element moved at the last step; none before the first
+    (xlo, xhi), (fa, fb), side = x, fx, np.zeros(x.shape, dtype=bool)  # side: the end each moved last; none yet
     for step in range(MAX_ITER + 1):
         width = xhi - xlo
-        done = np.maximum.reduceat(width, starts) <= REL_TOL
-        if done.any():
-            out = np.repeat(done, sizes)
-            root[idx[out]] = 0.5 * (xlo[out] + xhi[out])
+        finish = ~done & (np.maximum.reduceat(width, starts) <= REL_TOL)
+        if finish.any():
+            out = np.repeat(finish, sizes)
+            root[out] = 0.5 * (xlo[out] + xhi[out])
+            done |= finish
             if done.all():
                 return root
-            idx, width, *data = (arr[~out] for arr in (idx, width, *data))
-            x, fx, side, sizes = x[:, ~out], fx[:, ~out], side[:, ~out], sizes[~done]
-            (xlo, xhi), (fa, fb), starts, at = x, fx, np.cumsum(sizes) - sizes, func(*data)
         if step == MAX_ITER:
             raise NumericalError(f"{what}: bracket wider than {REL_TOL:g} after {MAX_ITER} steps")
         with np.errstate(divide="ignore", invalid="ignore"):

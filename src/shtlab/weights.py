@@ -47,11 +47,11 @@ def as_weight(space: QuasiMetricSpace, values) -> np.ndarray:
     return w
 
 
-def _finite(constant):
-    """Wrap a weight constant: its value, or an InputError naming it when the value
-    is inf or NaN.  A finite value is kept on the space, keyed on the name and the
-    validated inputs, so each constant is computed once per space and inputs.
-    The wrapper's ``bind`` gives a call's validated inputs and its key."""
+def _finite(constant, public=None):
+    """Wrap a weight constant: its value, or an InputError naming it (or ``public``, the
+    constant it computes) when the value is inf or NaN.  A finite value is kept on the space,
+    keyed on the name and the validated inputs, so each constant is computed once per space
+    and inputs.  The wrapper's ``bind`` gives a call's validated inputs and its key."""
     signature = inspect.signature(constant)
 
     def bind(*args, **kwargs):
@@ -67,7 +67,7 @@ def _finite(constant):
         if key not in space._memo:
             value = constant(**inputs)
             if not math.isfinite(value):
-                raise InputError(f"{constant.__name__} is {value}, not a finite number")
+                raise InputError(f"{public or constant.__name__} is {value}, not a finite number")
             space._memo[key] = value
         return space._memo[key]
 
@@ -105,6 +105,7 @@ def two_weight_ap(space: QuasiMetricSpace, w, sigma, p: float) -> float:
 def ainfty_fujii_wilson(space: QuasiMetricSpace, w) -> float:
     """Fujii-Wilson constant: sup_B (1/w(B)) * sum_B M(w*chi_B) dmu."""
     tbl = ball_table(space)
+    _mass_ratio(tbl.mu, space.mass)  # beyond it a ball average of w can underflow to 0
     wb = tbl.weighted @ w
     live = wb > 0
     rmax = restricted_maximal_table(space, w)
@@ -121,14 +122,17 @@ def ainfty_exp(space: QuasiMetricSpace, w) -> float:
     return float(np.max(tbl.averages(w) * np.exp(-tbl.averages(np.log(w)))))
 
 
-def _from_norms(plan):
-    """The weight constant read off Luxemburg norms: on its inputs, ``plan``
+def _from_norms(public):
+    """The route of the weight constant ``public`` that reads Luxemburg norms, kept
+    under its own memo key and refused by the public name: on its inputs, ``plan``
     gives the fields whose norms under ``phi`` it reads and the constant as a
     function of those norms.  A call solves its one request."""
-    constant = _finite(functools.wraps(plan)(
-        lambda space, **inputs: solve_orlicz_constants(space, [(constant, *inputs.values())])[0]))
-    constant.plan = plan
-    return constant
+    def route(plan):
+        constant = _finite(functools.wraps(plan)(
+            lambda space, **inputs: solve_orlicz_constants(space, [(constant, *inputs.values())])[0]), public)
+        constant.plan = plan
+        return constant
+    return route
 
 
 def solve_orlicz_constants(space: QuasiMetricSpace, requests) -> list:
@@ -156,7 +160,7 @@ def solve_orlicz_constants(space: QuasiMetricSpace, requests) -> list:
     return values
 
 
-@_from_norms
+@_from_norms("bump_ap")
 def _bump_luxemburg(space: QuasiMetricSpace, w, sigma, p: float, phi: YoungFunction) -> float:
     """``bump_ap`` read off the Luxemburg norms of sigma**(1/p')."""
     pc = p_conjugate(p)
@@ -164,7 +168,7 @@ def _bump_luxemburg(space: QuasiMetricSpace, w, sigma, p: float, phi: YoungFunct
     return sigma ** (1.0 / pc), lambda norms: float(np.max(tbl.averages(w) * norms[0] ** p))
 
 
-@_from_norms
+@_from_norms("wp_constant")
 def _wp_luxemburg(space: QuasiMetricSpace, sigma, p: float, phi: YoungFunction) -> float:
     """``wp_constant`` read off the Luxemburg norms of the rows sigma**(1/p) * chi_B."""
     p_conjugate(p)

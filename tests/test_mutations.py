@@ -52,10 +52,18 @@ def midpoint_past_unseen_end(monkeypatch):
     monkeypatch.setattr(orlicz, "_newton", mutated(orlicz._newton, rule, "0.5 * (lo + hi)"))
 
 
+ILLINOIS_STOP = "~done & (np.maximum.reduceat(width, starts) <= REL_TOL)"
+
+
 def loop_wide_stop(monkeypatch):
-    stop = "np.maximum.reduceat(width, starts) <= REL_TOL"
-    monkeypatch.setattr(orlicz, "_illinois",
-                        mutated(orlicz._illinois, stop, "np.full(len(sizes), width.max() <= REL_TOL)"))
+    monkeypatch.setattr(orlicz, "_illinois", mutated(
+        orlicz._illinois, ILLINOIS_STOP, "~done & np.full(len(sizes), width.max() <= REL_TOL)"))
+
+
+def dropped_done_mask(monkeypatch):
+    # a finished batch takes the midpoints of every later step too
+    monkeypatch.setattr(orlicz, "_illinois", mutated(
+        orlicz._illinois, ILLINOIS_STOP, "np.maximum.reduceat(width, starts) <= REL_TOL"))
 
 
 def sequential_support_sum(monkeypatch):
@@ -156,8 +164,11 @@ ROWS = [
         "never evaluated, and to the bracket's midpoint otherwise.",
         midpoint_past_unseen_end, orlicz_tests.test_newton_luxemburg_solves_take_few_evaluations),
     Row(orlicz._illinois,
-        "A batch steps until its own widest bracket is within REL_TOL, and leaves with its midpoints",
+        "A batch takes its midpoints at the first step its own widest bracket is within REL_TOL",
         loop_wide_stop, orlicz_tests.test_power_batches_keep_their_bits_in_one_illinois_loop),
+    Row(orlicz._illinois,
+        "and is then done; the loop steps every element until every batch is done",
+        dropped_done_mask, orlicz_tests.test_power_batches_keep_their_bits_in_one_illinois_loop),
     Row(orlicz._power_sums,
         "the buffer is summed by the same numpy row reduction: every sum has the bits of "
         "the dense form, pairwise order included.",

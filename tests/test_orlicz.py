@@ -401,12 +401,13 @@ def test_power_batches_keep_their_bits_in_one_illinois_loop():
     # in its Illinois loop: one _norms_core call on several stacks and phis gives
     # the bits of each row solved alone.  Each stack repeats every row once, and
     # the budget makes a chunk two rows, so one row twice, with that row's
-    # distinct pairs: a loop takes the Power batches of one chunk.
+    # distinct pairs.  Chunk index i is one loop, which holds the Power batches
+    # of every stack with an i-th chunk, one per Power phi.
     loops, illinois = [], orlicz._illinois
 
-    def counted(func, xlo, xhi, sizes, *rest):
+    def counted(at, xlo, xhi, sizes, what):
         loops.append(len(sizes))
-        return illinois(func, xlo, xhi, sizes, *rest)
+        return illinois(at, xlo, xhi, sizes, what)
 
     # Power(1.2)'s conjugate exponent 1.2/0.2 rounds to 6.000000000000001
     phis = [Power(2.0), Power(1.2).conjugate(), Power(1.5), PowerLog(2.0, 1.0)]
@@ -422,7 +423,8 @@ def test_power_batches_keep_their_bits_in_one_illinois_loop():
             core = functools.partial(orlicz._norms_core, tbl.member, tbl.weighted, tbl.mu, sp.mass)
             loops.clear()
             together = core([(np.repeat(rows, 2, axis=0), phis) for rows in stacks])
-            assert len(loops) >= 2 and max(loops) >= 2, loops
+            chunks = [len(rows) for rows in stacks]
+            assert loops == [3 * sum(c > i for c in chunks) for i in range(max(chunks))], (loops, chunks)
             for rows, job in zip(stacks, together):
                 for phi, norms in zip(phis, job):
                     alone = [core([(row[None, :], [phi])])[0][0][0] for row in rows]

@@ -636,6 +636,17 @@ def test_extreme_masses_exit_2(files, capsys):
     assert code == 0 and json.loads(out)["violations"] == []
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow warns
+def test_an_overflowing_reduction_names_the_public_constant(files, capsys):
+    # the reductions read the Luxemburg route, whose refusal names bump_ap
+    big = [1e300] * 4
+    manifest = _manifest({"type": "grid", "shape": [4]}, big)
+    manifest["instances"][0]["w"] = big
+    assert main(["verify", "--manifest", _write(files["dir"] / "big.json", manifest)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: bump_ap is inf, not a finite number\n"
+
+
 def test_single_level_cz_on_a_huge_doubling_order(files, capsys):
     # d_mu = 332.193: the default level base overflows, but a single level and
     # a manifest's cz item read only theta and eta

@@ -311,6 +311,17 @@ def test_power_closed_forms_refuse_what_they_cannot_hold():
         bump_ap(pair, [0.0, 1.0], [1e300, 0.0], 3.0, Power(1.5))
 
 
+def test_fujii_wilson_refuses_an_overflowing_mass_ratio():
+    # masses [1e-200, 1, 1, 1e200]: the whole-line average of M(sigma chi_B) for
+    # sigma = [1, 0, 0, 0] underflows to 0 and would give 2.5, not 3.5
+    line = [[abs(i - j) for j in range(4)] for i in range(4)]
+    extreme = QuasiMetricSpace(line, [1e-200, 1, 1, 1e200])
+    with pytest.raises(InputError, match="mass ratio mu_max/mass_min"):
+        ainfty_fujii_wilson(extreme, [1.0, 0.0, 0.0, 0.0])
+    wide = QuasiMetricSpace(line, [1e-100, 1, 1, 1e100])
+    assert ainfty_fujii_wilson(wide, [1.0, 0.0, 0.0, 0.0]) == pytest.approx(3.5, rel=1e-12)
+
+
 def exact_balls(space):
     """Every open ball dist(c, .) < r as a member list, r over every positive
     distance and one past the maximum: the whole family, with no ball table."""
@@ -514,5 +525,8 @@ def test_batched_constants_keep_finite_values_only(line4):
                                             (_bump_luxemburg, ONES4, ONES4, 2.0, Power(2.0))])
     assert values[0] == math.inf and values[1] == pytest.approx(1.0, rel=1e-9)
     assert list(line4._memo.values()) == values[1:]
-    with pytest.raises(InputError, match=r"^_bump_luxemburg is inf, not a finite number$"):
+    # the Luxemburg routes keep their own memo keys but are refused by the public names
+    with pytest.raises(InputError, match=r"^bump_ap is inf, not a finite number$"):
         _bump_luxemburg(line4, BIG4, BIG4, 2.0, Power(2.0))
+    with pytest.raises(InputError, match=r"^wp_constant is inf, not a finite number$"):
+        _wp_luxemburg(line4, [1e308, 1e-308, 1.0, 1.0], 2.0, Power(2.0))

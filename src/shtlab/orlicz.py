@@ -101,7 +101,7 @@ def _newton(func, x, lo, hi, what, *data):
     increasing in x from starts x in brackets [lo, hi], 1-d arrays it overwrites.
 
     ``func(x, *data)`` gives g and g' of the active elements; ``data`` are
-    per-element arrays compacted with them, which ``func`` may update in place.
+    per-element arrays compacted with them.
     Every evaluation shrinks its element's bracket [lo, hi].  A Newton point
     outside the bracket moves to the end it crossed if that end was never
     evaluated, and to the bracket's midpoint otherwise.  An element is frozen
@@ -136,27 +136,25 @@ def _newton(func, x, lo, hi, what, *data):
     raise NumericalError(f"{what}: Newton solve did not converge in {MAX_ITER} steps")
 
 
-def _newton_log(y, c, alpha, beta, a, what, start=None, floor=False):
+def _newton_log(y, c, alpha, beta, a, what, floor=False):
     """Solve u**c * L**(a-1) * (alpha*L + beta*r) = y for v = log u (1-d y > 0).
 
-    ``_newton`` on ``_log_kernel`` from ``start`` (log u, clipped to the
-    domain; NaN or None starts at the root for a = 0).  The kernel increases
-    in v, so its values at v = +-LOG_U_MAX show at once that every root lies
-    in that domain, each element's starting bracket.  With ``floor``, a root
-    below the domain is v = -inf (u = 0); any other root beyond it raises.
+    ``_newton`` on ``_log_kernel`` from the root for a = 0, clipped to the
+    domain.  The kernel increases in v, so its values at v = +-LOG_U_MAX show
+    at once that every root lies in that domain, each element's starting
+    bracket.  With ``floor``, a root below the domain is v = -inf (u = 0); any
+    other root beyond it raises.
     """
     ly = np.log(y)
     f_min, f_max = _domain_ends(c, alpha, beta, a, LOG_U_MAX)
     if (low := ly.min() < f_min) and floor:
         v, keep = np.full(y.size, -np.inf), ly >= f_min
         if keep.any():
-            v[keep] = _newton_log(y[keep], c, alpha, beta, a, what, None if start is None else start[keep])
+            v[keep] = _newton_log(y[keep], c, alpha, beta, a, what)
         return v
     if low or ly.max() > f_max:
         raise NumericalError(f"{what}: root u lies beyond exp(+-{LOG_U_MAX:g})")
     v = np.clip((ly - math.log(alpha or beta)) / (c or 1.0), -LOG_U_MAX, LOG_U_MAX)
-    if start is not None:
-        np.copyto(v, np.clip(start, -LOG_U_MAX, LOG_U_MAX), where=~np.isnan(start))
     return _newton(lambda v, ly: _log_kernel(v, c, alpha, beta, a, ly),
                    v, np.full(v.size, -LOG_U_MAX), np.full(v.size, LOG_U_MAX), what, ly)
 
@@ -188,9 +186,8 @@ class YoungFunction:
     def derivative(self, t):  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def warm(self, t, state=None):
-        """(Phi(t), Phi'(t)); a Phi that is itself a solve starts each entry at
-        ``state``, an array of t's shape, and overwrites it.  This one has none."""
+    def value_and_slope(self, t):
+        """(Phi(t), Phi'(t)) of an array t, from one evaluation where Phi is a solve."""
         return self(t), self.derivative(t)
 
     def __repr__(self):
@@ -290,29 +287,25 @@ class NumericConjugate(YoungFunction):
         """base'(0): 1 at s = 1, else 0.  Up to it u* = 0, so Phibar = Phibar' = 0."""
         return 1.0 if self.base.s == 1 else 0.0
 
-    def warm(self, t, state=None):
-        """(Phibar(t), Phibar'(t) = u*), u* the argmax; each argmax solve starts at
-        its entry of ``state`` (log u*, NaN for cold) and overwrites it; both
-        are 0 where u* < exp(-LOG_U_MAX) puts Phibar below the float range."""
+    def value_and_slope(self, t):
+        """(Phibar(t), Phibar'(t) = u*) from one argmax solve per entry; both are 0
+        where u* < exp(-LOG_U_MAX) puts Phibar below the float range."""
         t = np.asarray(t, dtype=float)
         out, u = np.zeros(t.shape), np.zeros(t.shape)
         pos = t > self._kink
         if pos.any():
             s, a = self.base.s, self.base.a  # the argmax solves base'(u) = t
-            v = _newton_log(t[pos], s - 1.0, s, a, a, f"{self.label} argmax",
-                            None if state is None else state[pos], floor=True)
-            if state is not None:
-                state[pos] = v
+            v = _newton_log(t[pos], s - 1.0, s, a, a, f"{self.label} argmax", floor=True)
             u[pos] = up = np.exp(v)
             out[pos] = np.maximum(up * t[pos] - self.base(up), 0.0)
         return out, u
 
     def __call__(self, t):
-        return _positive_part(lambda tp: self.warm(tp)[0], t, self._kink)
+        return _positive_part(lambda tp: self.value_and_slope(tp)[0], t, self._kink)
 
     def derivative(self, t):
         # envelope: d/dt sup_u (u t - Phi(u)) = argmax u
-        return _positive_part(lambda tp: self.warm(tp)[1], t, self._kink)
+        return _positive_part(lambda tp: self.value_and_slope(tp)[1], t, self._kink)
 
     def inverse(self, y):
         s, a = self.base.s, self.base.a  # base'(u) at the root of u*base'(u) - base(u) = y
@@ -347,16 +340,16 @@ def _norms_core(member, weighted, mu, mass, jobs):
     the dense bits (``_power_sums``).  Any other root is a ``_newton`` solve of
     g(x) = log(mu(B) / sum Phi(t) w) = 0, t = f e^{-x}, g' = sum Phi'(t) t w /
     sum Phi(t) w, from its bracket's midpoint, with Phi and Phi' from one
-    ``phi.warm`` evaluation that carries the conjugate's log argmax per entry to
-    the next: the bits of the pair solved alone.  Phi^{-1}(1), the upper end,
-    is one more element of each chunk's bracket inversion (Power: closed form).
+    ``phi.value_and_slope`` call, cold as a direct Phibar call: the bits of the
+    pair solved alone.  Phi^{-1}(1), the upper end, is one more element of each
+    chunk's bracket inversion (Power: closed form).
     """
     outs = [[np.zeros((len(fmat), len(member))) for _ in phis] for fmat, phis in jobs]
     ratio = _mass_ratio(mu, mass)  # the module docstring's bracket
 
-    def gap(x, f, w, mu_b, state, phi):
+    def gap(x, f, w, mu_b, phi):
         t = f / np.exp(x)[:, None]
-        values, slopes = phi.warm(t, state)
+        values, slopes = phi.value_and_slope(t)
         total = (values * w).sum(axis=1)
         return np.log(mu_b / total), (slopes * t * w).sum(axis=1) / total
 
@@ -391,7 +384,7 @@ def _norms_core(member, weighted, mu, mass, jobs):
                 inv = phi.inverse(np.append(mua / mass.min(), 1.0))  # and Phi^{-1}(1), the upper end
                 xlo, xhi = np.log(maxf / inv[:-1]), np.log(maxf / inv[-1])
                 root = _newton(functools.partial(gap, phi=phi), 0.5 * (xlo + xhi), xlo, xhi,
-                               f"Luxemburg norm under {phi!r}", fa, wa, mua, np.full(fa.shape, np.nan))
+                               f"Luxemburg norm under {phi!r}", fa, wa, mua)
                 out[start + kk, bb] = np.exp(root)[back]
         if batches:  # one Illinois loop per chunk index; the batches of one phi are adjacent
             kinds, fa, wa, mua, xlo, xhi, ends = zip(

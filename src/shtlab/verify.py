@@ -30,6 +30,7 @@ from .weights import (
     as_weight,
     bump_ap,
     sawyer_constant,
+    solve_orlicz_constants,
     two_weight_ap,
     wp_constant,
 )
@@ -193,9 +194,9 @@ def verify_reductions(space: QuasiMetricSpace, w, sigma, p: float) -> dict:
     the other side, of which ``bump_ap`` and ``wp_constant`` under Power are made.
     """
     pc = p_conjugate(p)
-    bump = _bump_luxemburg(space, w, sigma, p, Power(pc))
+    bump = solve_orlicz_constants(space, [(_bump_luxemburg, w, sigma, p, Power(pc))])[0]
     classical = two_weight_ap(space, w, sigma, p)
-    wp = _wp_luxemburg(space, sigma, p, Power(p))
+    wp = solve_orlicz_constants(space, [(_wp_luxemburg, sigma, p, Power(p))])[0]
     fw = ainfty_fujii_wilson(space, sigma)
     err_bump = abs(bump - classical) / classical
     err_wp = abs(wp - fw) / fw

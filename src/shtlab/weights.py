@@ -47,38 +47,35 @@ def as_weight(space: QuasiMetricSpace, values) -> np.ndarray:
     return w
 
 
-def _finite(constant, public=None):
-    """Wrap a weight constant: its value, or an InputError naming it (or ``public``, the
-    constant it computes) when the value is inf or NaN.  A finite value is kept on the space,
-    keyed on the name and the validated inputs, so each constant is computed once per space
-    and inputs.  The wrapper's ``bind`` gives a call's validated inputs and its key."""
-    signature = inspect.signature(constant)
+_signature = functools.cache(inspect.signature)  # read once per function
 
-    def bind(*args, **kwargs):
-        inputs = signature.bind(*args, **kwargs).arguments
-        # the weights are validated here, for the key and for the body
-        inputs.update({k: as_weight(inputs["space"], inputs[k]) for k in ("w", "sigma") if k in inputs})
-        return inputs, _memo_key(constant.__name__, inputs)
 
+def _bind(constant, *args, **kwargs):
+    """A call of ``constant``: its inputs, the weights validated, and the key that a
+    finite value is kept under on the space: the name and every input but the space,
+    an array by its bits."""
+    inputs = _signature(constant).bind(*args, **kwargs).arguments
+    inputs.update({k: as_weight(inputs["space"], inputs[k]) for k in ("w", "sigma") if k in inputs})
+    return inputs, (constant.__name__,) + tuple(value.tobytes() if isinstance(value, np.ndarray) else value
+                                               for key, value in inputs.items() if key != "space")
+
+
+def _finite(constant):
+    """Wrap a weight constant: its value, or an InputError naming it when the value is
+    inf or NaN.  A finite value is kept on the space under its call's key (``_bind``), so
+    each constant is computed once per space and inputs."""
     @functools.wraps(constant)
     def checked(*args, **kwargs):
-        inputs, key = bind(*args, **kwargs)
+        inputs, key = _bind(constant, *args, **kwargs)
         space = inputs["space"]
         if key not in space._memo:
             value = constant(**inputs)
             if not math.isfinite(value):
-                raise InputError(f"{public or constant.__name__} is {value}, not a finite number")
+                raise InputError(f"{constant.__name__} is {value}, not a finite number")
             space._memo[key] = value
         return space._memo[key]
 
-    checked.bind = bind
     return checked
-
-
-def _memo_key(name, inputs):
-    """The name and every input but the space, an array by its bits."""
-    return (name,) + tuple(value.tobytes() if isinstance(value, np.ndarray) else value
-                           for key, value in inputs.items() if key != "space")
 
 
 @_finite
@@ -122,55 +119,45 @@ def ainfty_exp(space: QuasiMetricSpace, w) -> float:
     return float(np.max(tbl.averages(w) * np.exp(-tbl.averages(np.log(w)))))
 
 
-def _from_norms(public):
-    """The route of the weight constant ``public`` that reads Luxemburg norms, kept
-    under its own memo key and refused by the public name: on its inputs, ``plan``
-    gives the fields whose norms under ``phi`` it reads and the constant as a
-    function of those norms.  A call solves its one request."""
-    def route(plan):
-        constant = _finite(functools.wraps(plan)(
-            lambda space, **inputs: solve_orlicz_constants(space, [(constant, *inputs.values())])[0]), public)
-        constant.plan = plan
-        return constant
-    return route
-
-
 def solve_orlicz_constants(space: QuasiMetricSpace, requests) -> list:
-    """The values of ``requests``, each (``_bump_luxemburg`` or ``_wp_luxemburg``,
-    *the call's arguments after the space), from one Luxemburg solve in which the
-    requests on equal fields share one job.  Each finite value is kept on the
-    space under the key of its own call, which then reads it, and so does a later
-    request; a value that is not finite is not kept, so its own call still raises."""
+    """The values of ``requests``, each (``_bump_luxemburg`` or ``_wp_luxemburg``, *the
+    arguments after the space), from one Luxemburg solve in which the requests on equal
+    fields share one job.  Each finite value is kept on the space under its route's key
+    (``_bind``), which a later request reads; then the first value that is not finite
+    raises InputError naming ``bump_ap`` or ``wp_constant``."""
     jobs, reads = {}, []
-    for constant, *args in requests:
-        inputs, key = constant.bind(space, *args)
+    for route, *args in requests:
+        inputs, key = _bind(route, space, *args)
         if key in space._memo:
-            reads.append((key, None, None, space._memo[key]))
+            reads.append((route, key, None, None, space._memo[key]))
             continue
-        fields, value = constant.plan(**inputs)
+        fields, value = route(**inputs)
         job = fields.shape, fields.tobytes()
         jobs.setdefault(job, (fields, {}))[1][inputs["phi"]] = None  # its phis in order, each once
-        reads.append((key, job, inputs["phi"], value))
+        reads.append((route, key, job, inputs["phi"], value))
     tbl = ball_table(space)
     sweeps = jobs and _norms_core(tbl.member, tbl.weighted, tbl.mu, space.mass,
                                   [(np.atleast_2d(fields), list(phis)) for fields, phis in jobs.values()])
     norms = {job: dict(zip(phis, out)) for (job, (_, phis)), out in zip(jobs.items(), sweeps)}
-    values = [value if job is None else value(norms[job][phi]) for _, job, phi, value in reads]
-    space._memo.update((key, v) for (key, *_), v in zip(reads, values) if math.isfinite(v))
+    values = [value if job is None else value(norms[job][phi]) for _, _, job, phi, value in reads]
+    space._memo.update((key, v) for (_, key, *_), v in zip(reads, values) if math.isfinite(v))
+    for (route, *_), value in zip(reads, values):
+        if not math.isfinite(value):
+            raise InputError(f"{_PUBLIC[route]} is {value}, not a finite number")
     return values
 
 
-@_from_norms("bump_ap")
-def _bump_luxemburg(space: QuasiMetricSpace, w, sigma, p: float, phi: YoungFunction) -> float:
-    """``bump_ap`` read off the Luxemburg norms of sigma**(1/p')."""
+def _bump_luxemburg(space: QuasiMetricSpace, w, sigma, p: float, phi: YoungFunction):
+    """``bump_ap``'s fields sigma**(1/p'), whose norms under phi it reads, and its
+    value as a function of those norms."""
     pc = p_conjugate(p)
     tbl = ball_table(space)
     return sigma ** (1.0 / pc), lambda norms: float(np.max(tbl.averages(w) * norms[0] ** p))
 
 
-@_from_norms("wp_constant")
-def _wp_luxemburg(space: QuasiMetricSpace, sigma, p: float, phi: YoungFunction) -> float:
-    """``wp_constant`` read off the Luxemburg norms of the rows sigma**(1/p) * chi_B."""
+def _wp_luxemburg(space: QuasiMetricSpace, sigma, p: float, phi: YoungFunction):
+    """``wp_constant``'s fields, the rows sigma**(1/p) * chi_B, whose norms under phi
+    it reads, and its value as a function of those norms."""
     p_conjugate(p)
     tbl = ball_table(space)
     sb = tbl.weighted @ sigma
@@ -179,6 +166,9 @@ def _wp_luxemburg(space: QuasiMetricSpace, sigma, p: float, phi: YoungFunction) 
     # the point maxima of the norms of the rows g * chi_B are M_Phi(g * chi_B)
     return g[None, :] * tbl.member[live], lambda norms: float(np.max(
         (tbl.point_max(norms) ** p * tbl.weighted[live]).sum(axis=1) / sb[live]))
+
+
+_PUBLIC = {_bump_luxemburg: "bump_ap", _wp_luxemburg: "wp_constant"}  # the names a route's refusal gives
 
 
 @_finite

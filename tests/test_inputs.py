@@ -74,6 +74,12 @@ def test_a_memoised_constant_still_refuses_bad_vectors(line4, entry, bad):
         ENTRY_POINTS[entry](line4, values)
 
 
+@pytest.mark.parametrize("entry", WEIGHT_CONSTANTS)
+def test_an_all_zero_weight_is_refused(line4, entry):
+    with pytest.raises(InputError, match="^weight must have a strictly positive entry$"):
+        ENTRY_POINTS[entry](line4, [0.0, 0.0, 0.0, 0.0])
+
+
 def test_norm_matrix_rows_are_named(line4):
     fmat = [ONES, [1.0, math.nan, 1.0, 1.0]]
     with pytest.raises(InputError, match="row 1 of fmat contains NaN at index 1"):

@@ -119,8 +119,8 @@ def prefix_point_max(monkeypatch):
 def memo_key_without(name):
     """The fault that leaves input ``name`` out of the weight constants' memo key."""
     def fault(monkeypatch):
-        key = mutated(weights._memo_key, 'if key != "space"', f'if key not in ("space", "{name}")')
-        monkeypatch.setattr(weights, "_memo_key", key)
+        bind = mutated(weights._bind, 'if key != "space"', f'if key not in ("space", "{name}")')
+        monkeypatch.setattr(weights, "_bind", bind)
 
     fault.__name__ = f"memo_key_without_{name}"
     return fault
@@ -207,11 +207,13 @@ ROWS = [
         "a running maximum from each center's largest ball down, read at depth, then the "
         "max over centers.",
         prefix_point_max, space_tests.test_point_max_equals_the_masked_form, (1, 2)),
-    Row(weights._finite,
-        "A finite value is kept on the space, keyed on the name and the validated inputs",
+    Row(weights._bind,
+        "the key that a finite value is kept under on the space: the name and every input "
+        "but the space",
         memo_key_without("phi"), weights_tests.test_memo_keeps_one_value_per_input),
-    Row(weights._finite,
-        "A finite value is kept on the space, keyed on the name and the validated inputs",
+    Row(weights._bind,
+        "the key that a finite value is kept under on the space: the name and every input "
+        "but the space",
         memo_key_without("p"), weights_tests.test_memo_keeps_one_value_per_input),
     Row(czdecomp,
         "keep a Vitali subfamily: sort by radius descending, center ascending, keep a "

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from conftest import ball_norm, open_ball, random_cloud, whole_ball
@@ -107,46 +107,6 @@ def test_power_log_solves_are_batch_independent():
         conj = phi.conjugate()
         for fn in (phi.inverse, conj, conj.derivative, conj.inverse):
             assert np.array_equal(fn(x), [fn(float(v)) for v in x]), (s, a, fn)
-
-
-# the three kernels of ``_newton_log`` for PowerLog(s, a): Phi^{-1}, the
-# conjugate's argmax, and the conjugate's inverse
-NEWTON_KERNELS = {
-    "inverse": lambda s, a: (s, 1.0, 0.0, a),
-    "argmax": lambda s, a: (s - 1.0, s, a, a),
-    "conjugate inverse": lambda s, a: (s, s - 1.0, a, a),
-}
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    kernel=st.sampled_from(sorted(NEWTON_KERNELS)),
-    s=st.sampled_from([1.0, 1.25, 1.5, 2.0, 3.0, 6.0]),
-    a=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
-    log_y=st.floats(-18.0, 18.0),
-    inside=st.floats(-orlicz.LOG_U_MAX, orlicz.LOG_U_MAX),
-    offset=st.floats(-50.0, 50.0),
-    far=st.floats(-1e300, 1e300),
-)
-def test_warm_started_newton_returns_the_cold_root(kernel, s, a, log_y, inside, offset, far):
-    # Starts anywhere in the domain, NaN (cold), near the root and far outside
-    # the domain all end at the cold root.  Newton stops within the rounding
-    # noise of the kernel, a few ulps of max(1, |v|, |log y|), divided by the
-    # kernel's slope at the root; the bound allows 8 such ulps.
-    assume(s > 1 or a > 0)  # PowerLog(1, 0) is t, whose conjugate degenerates
-    args = NEWTON_KERNELS[kernel](s, a)
-    y = np.array([math.exp(log_y)])
-    try:
-        cold = orlicz._newton_log(y, *args, "cold")
-    except NumericalError:  # the root lies outside the domain whatever the start
-        with pytest.raises(NumericalError):
-            orlicz._newton_log(y, *args, "warm", np.array([inside]))
-        return
-    starts = np.array([inside, math.nan, cold[0] + offset, far])
-    warm = orlicz._newton_log(np.repeat(y, 4), *args, "warm", starts)
-    slope = orlicz._log_kernel(cold, *args)[1]
-    bound = 8 * np.finfo(float).eps * max(1.0, abs(cold[0]), abs(log_y)) / slope[0]
-    assert np.all(np.abs(warm - cold) <= bound), (warm - cold, bound)
 
 
 def test_unit_exponent_conjugate():

@@ -86,6 +86,8 @@ def test_nonpositive_mass_rejected():
         ([[0, 0], [0, 0]], [1, 1], "zero off-diagonal"),
         ([[0, 1], [1, 0]], [1, 1, 1], "dimension mismatch"),
         ([[0, float("nan")], [float("nan"), 0]], [1, 1], "non-finite"),
+        ([[0, 1], [1, 0]], [1, float("inf")], "^non-finite mass at index 1$"),
+        ([[0, 1], [1, 2]], [1, 1], "^nonzero self-distance at index 1$"),
     ],
 )
 def test_invalid_matrices_rejected(dist, mass, msg):

@@ -97,6 +97,8 @@ def test_parse_space_rejects_bad_spec():
             parse_space({"type": "grid", "shape": shape})
     with pytest.raises(InputError, match="metric"):
         parse_space({"type": "grid", "shape": [3], "metric": ["l1"]})
+    with pytest.raises(InputError, match="^unknown mass descriptor 'lumpy'$"):
+        parse_space({"type": "grid", "shape": [3], "mass": "lumpy"})
     for dist in ([[0, "x"], ["x", 0]], [[0, 1], [1]]):
         with pytest.raises(InputError, match="dist"):
             parse_space({"type": "explicit", "dist": dist, "mass": [1, 1]})
@@ -239,6 +241,15 @@ def test_constants_sweep_csv(files, capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("p,phi,ap")
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("p, message", [("a", "malformed --p value 'a'"),
+                                        (",", "at least one exponent required in --p")])
+def test_constants_malformed_p_exits_2(files, capsys, p, message):
+    assert main(["constants", "--space", files["space"], "--w", files["ones"], "--sigma", files["ones"],
+                 "--p", p]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
 
 
 def test_constants_sweep_rows_are_their_single_runs(files, capsys):
@@ -540,6 +551,7 @@ MALFORMED_MANIFESTS = {
                             "manifest instances[0] (x): space spec must be a JSON object"),
     "f an unreadable file": ({"cz": [{"name": "c", "space": LINE4, "f": "nofile", "lam": 4.0}]},
                              "manifest cz[0] (c): unreadable file: nofile"),
+    "manifest a list": ([GOOD_INSTANCE], "manifest must be a JSON object"),
 }
 
 

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_cloud
+from conftest import open_ball, random_cloud, table_balls
 from shtlab import suite, verify, weights
 from shtlab.errors import InputError
 from shtlab.orlicz import Power, PowerLog, alpha_p, luxemburg_norms_over_balls
-from shtlab.space import QuasiMetricSpace, ball_table, space_profile
+from shtlab.space import QuasiMetricSpace, ball_table, build_space, space_profile
 from shtlab.verify import (
     _ratio,
     opnorm_lower_bound,
@@ -281,6 +281,32 @@ def test_rhi_two_valued_weights_shrink(line4):
     assert stars[0] >= stars[1] >= stars[2]
 
 
+def test_rhi_bisection_finds_the_largest_exponent():
+    # a spike of 1e6 on a 32-point line fails the inequality at r = 64, so the
+    # probe bisects.  Against open balls read off the distances, every ball holds
+    # at r_star, within 8 ulps of rounding, and some ball fails 1e-12 above it
+    sp = build_space({"type": "grid", "shape": [32]})
+    w = np.ones(32)
+    w[0] = 1e6
+    r_star = weak_rhi_probe(sp, w)["r_star"]
+    profile = space_profile(sp)
+    factor = 2.0 * (4.0 * profile.kappa) ** profile.d_mu
+
+    def worst(r):
+        """max over balls B of (avg_B w**r)**(1/r) / (factor * avg_{2*kappa*B} w)."""
+        ratios = []
+        for ball in table_balls(sp):
+            inner = open_ball(sp, ball.center, ball.radius)
+            outer = open_ball(sp, ball.center, 2.0 * profile.kappa * ball.radius)
+            lhs = (np.sum(w[inner] ** r * sp.mass[inner]) / np.sum(sp.mass[inner])) ** (1.0 / r)
+            ratios.append(lhs / (factor * np.sum(w[outer] * sp.mass[outer]) / np.sum(sp.mass[outer])))
+        return max(ratios)
+
+    assert 1.0 < r_star < 64.0
+    assert worst(r_star) <= 1.0 + 8 * np.finfo(float).eps
+    assert worst(r_star * (1.0 + 1e-12)) > 1.0 + 8 * np.finfo(float).eps
+
+
 def test_rhi_requires_positive(line4):
     with pytest.raises(InputError):
         weak_rhi_probe(line4, np.array([1.0, 0.0, 1.0, 1.0]))
@@ -346,6 +372,7 @@ def test_one_instance_reuses_its_weight_constants(monkeypatch):
     report, _ = suite.run_suite(manifest)
     assert calls == [[["power:2", "powerlog:2:1"], ["power:2", "conjugate(powerlog:2:1)"]]]
     calls.clear()
-    monkeypatch.setattr(weights, "_memo_key", lambda name, inputs: object())
+    bind = weights._bind
+    monkeypatch.setattr(weights, "_bind", lambda *args, **kwargs: (bind(*args, **kwargs)[0], object()))
     assert suite.run_suite(manifest)[0] == report
     assert len(calls) == 1 + 4

@@ -260,10 +260,9 @@ def power_contexts(seed, count):
 
 def test_power_closed_forms_agree_with_the_luxemburg_route():
     for sp, w, sigma, p, phi in power_contexts(97, 20):
-        assert bump_ap(sp, w, sigma, p, phi) == pytest.approx(
-            _bump_luxemburg(sp, w, sigma, p, phi), rel=1e-11)
-        assert wp_constant(sp, sigma, p, phi) == pytest.approx(
-            _wp_luxemburg(sp, sigma, p, phi), rel=1e-11)
+        bump, wp = solve_orlicz_constants(sp, [(_bump_luxemburg, w, sigma, p, phi), (_wp_luxemburg, sigma, p, phi)])
+        assert bump_ap(sp, w, sigma, p, phi) == pytest.approx(bump, rel=1e-11)
+        assert wp_constant(sp, sigma, p, phi) == pytest.approx(wp, rel=1e-11)
 
 
 def test_power_closed_forms_are_homogeneous_over_the_float_range():
@@ -334,23 +333,26 @@ def exact_average(space, f, ball):
         Fraction(space.mass[y]) for y in ball)
 
 
-def exact_power_constants(space, w, sigma):
-    """bump_ap and wp_constant at p = s = 2 in exact arithmetic: sup_B avg_B w *
-    avg_B sigma, and sup_B (1/sigma(B)) * sum_B M(sigma * chi_B) dmu."""
+def exact_p2_constants(space, w, sigma):
+    """At p = 2 in exact arithmetic: sup_B avg_B w * avg_B sigma, sup_B (1/sigma(B)) *
+    sum_B M(sigma * chi_B) dmu and sup_B (1/sigma(B)) * sum_B M(sigma * chi_B)**2 w dmu.
+    The first two are also bump_ap and wp_constant under Power(2)."""
     balls = exact_balls(space)
-    bump = max(exact_average(space, w, b) * exact_average(space, sigma, b) for b in balls)
-    wp = 0
+    two_weight = max(exact_average(space, w, b) * exact_average(space, sigma, b) for b in balls)
+    fw = sawyer_sq = 0
     for b in balls:
         held = [sigma[y] if y in b else 0.0 for y in range(space.n)]
         mass_b = sum(Fraction(sigma[y]) * Fraction(space.mass[y]) for y in b)
         if mass_b > 0:
-            total = sum(max(exact_average(space, held, c) for c in balls if x in c) * Fraction(space.mass[x])
-                        for x in b)
-            wp = max(wp, total / mass_b)
-    return bump, wp
+            rmax = {x: max(exact_average(space, held, c) for c in balls if x in c) for x in b}
+            fw = max(fw, sum(rmax[x] * Fraction(space.mass[x]) for x in b) / mass_b)
+            sawyer_sq = max(sawyer_sq, sum(rmax[x] ** 2 * Fraction(w[x]) * Fraction(space.mass[x])
+                                           for x in b) / mass_b)
+    return two_weight, fw, sawyer_sq
 
 
-def test_power_closed_forms_are_within_8_ulps_of_exact_arithmetic():
+def dyadic_lines():
+    """(space, w, sigma) on 12 line spaces of 2-5 points with dyadic masses and weights."""
     rng = np.random.default_rng(15)
     for trial in range(12):
         n = int(rng.integers(2, 6))
@@ -358,10 +360,29 @@ def test_power_closed_forms_are_within_8_ulps_of_exact_arithmetic():
         sp = QuasiMetricSpace(np.abs(np.subtract.outer(coords, coords)), rng.integers(1, 9, n) / 8.0)
         w, sigma = (rng.integers(0, 17, n) / 16.0 for _ in range(2))
         w[0] = sigma[-1] = 1.0
-        bump, wp = exact_power_constants(sp, w, sigma)
+        yield sp, w, sigma
+
+
+def within_8_ulps(got, exact):
+    return abs(Fraction(got) - exact) <= 8 * Fraction(math.ulp(float(exact)))
+
+
+def test_power_closed_forms_are_within_8_ulps_of_exact_arithmetic():
+    for trial, (sp, w, sigma) in enumerate(dyadic_lines()):
+        bump, wp, _ = exact_p2_constants(sp, w, sigma)
         for got, exact in ((bump_ap(sp, w, sigma, 2.0, Power(2.0)), bump),
                            (wp_constant(sp, sigma, 2.0, Power(2.0)), wp)):
-            assert abs(Fraction(got) - exact) <= 8 * Fraction(math.ulp(float(exact))), (trial, got, exact)
+            assert within_8_ulps(got, exact), (trial, got, exact)
+
+
+def test_classical_constants_are_within_8_ulps_of_exact_arithmetic():
+    # the classical sides of the reduction identities, and the Sawyer constant
+    for trial, (sp, w, sigma) in enumerate(dyadic_lines()):
+        two_weight, fw, sawyer_sq = exact_p2_constants(sp, w, sigma)
+        for got, exact in ((two_weight_ap(sp, w, sigma, 2.0), two_weight),
+                           (ainfty_fujii_wilson(sp, sigma), fw),
+                           (sawyer_constant(sp, w, sigma, 2.0) ** 2, sawyer_sq)):
+            assert within_8_ulps(got, exact), (trial, got, exact)
 
 
 def test_point_max_rows_match_single_rows():
@@ -501,9 +522,9 @@ def test_non_finite_constant_is_refused_by_name(line4, name, compute):
 
 
 def test_batched_constants_are_their_single_calls():
-    # solve_orlicz_constants gives each request the bits of its single call on a
-    # fresh space, and keeps it under that call's key: the call then adds nothing.
-    # The requests read Luxemburg norms, Power included
+    # solve_orlicz_constants gives each request the bits of its request solved alone
+    # on a fresh space, and keeps it under the route's key: solved alone again on
+    # the same space, it adds nothing.  The requests read Luxemburg norms, Power included
     rng = np.random.default_rng(73)
     for trial in range(4):
         sp = random_cloud(rng, int(rng.integers(3, 7)), dim=1 + trial % 2)
@@ -513,20 +534,22 @@ def test_batched_constants_are_their_single_calls():
                     for request in ((_bump_luxemburg, w, sigma, p, phi), (_wp_luxemburg, sigma, p, phi))]
         values = solve_orlicz_constants(sp, requests)
         kept = len(sp._memo)
-        for (constant, *args), value in zip(requests, values):
-            single = constant(QuasiMetricSpace(sp.dist, sp.mass), *args)
-            assert value == single == constant(sp, *args), (trial, constant.__name__, args[-2:])
+        for request, value in zip(requests, values):
+            single = solve_orlicz_constants(QuasiMetricSpace(sp.dist, sp.mass), [request])[0]
+            assert value == single == solve_orlicz_constants(sp, [request])[0], (trial, request[0].__name__, request[-2:])
         assert kept == len(sp._memo) == len(requests)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow warns
 def test_batched_constants_keep_finite_values_only(line4):
-    values = solve_orlicz_constants(line4, [(_bump_luxemburg, BIG4, BIG4, 2.0, Power(2.0)),
-                                            (_bump_luxemburg, ONES4, ONES4, 2.0, Power(2.0))])
-    assert values[0] == math.inf and values[1] == pytest.approx(1.0, rel=1e-9)
-    assert list(line4._memo.values()) == values[1:]
-    # the Luxemburg routes keep their own memo keys but are refused by the public names
+    # the solve keeps every finite value, then refuses the first other one by the
+    # public name, though the routes keep their own memo keys
     with pytest.raises(InputError, match=r"^bump_ap is inf, not a finite number$"):
-        _bump_luxemburg(line4, BIG4, BIG4, 2.0, Power(2.0))
+        solve_orlicz_constants(line4, [(_bump_luxemburg, BIG4, BIG4, 2.0, Power(2.0)),
+                                       (_bump_luxemburg, ONES4, ONES4, 2.0, Power(2.0))])
+    [kept] = line4._memo.values()
+    assert kept == pytest.approx(1.0, rel=1e-9)
+    assert solve_orlicz_constants(line4, [(_bump_luxemburg, ONES4, ONES4, 2.0, Power(2.0))]) == [kept]
     with pytest.raises(InputError, match=r"^wp_constant is inf, not a finite number$"):
-        _wp_luxemburg(line4, [1e308, 1e-308, 1.0, 1.0], 2.0, Power(2.0))
+        solve_orlicz_constants(line4, [(_wp_luxemburg, [1e308, 1e-308, 1.0, 1.0], 2.0, Power(2.0))])
+    assert list(line4._memo.values()) == [kept]
